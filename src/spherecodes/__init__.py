@@ -7,7 +7,7 @@ Library layout:
 - :mod:`spherecodes.bounds`   rate curves, trade-off lines, feasibility region
 - :mod:`spherecodes.gf`       GF(p), GF(p^k), Reed-Solomon, primality
 - :mod:`spherecodes.codes`    greedy Gilbert, Lee BCH, concatenation, lift
-- :mod:`spherecodes.kernels`  numba/numpy dual-path hot loops
+- :mod:`spherecodes.kernels`  hot loops: scans, greedy selection, sweeps
 - :mod:`spherecodes.verify`   the acceptance criteria suite
 - :mod:`spherecodes.cli`      command-line frontend
 """

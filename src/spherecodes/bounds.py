@@ -54,13 +54,21 @@ REGION_DEMO_X = -640.48
 ENVELOPE_DEMO_LAMBDA = 0.976
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _resolve_x(rho: float | None, x: float | None) -> float:
     if (rho is None) == (x is None):
         raise ValueError("pass exactly one of rho or x")
     if rho is not None:
-        if rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {rho!r}")
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho!r}")
         return math.log(rho)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     return float(x)
 
 
@@ -139,6 +147,7 @@ def tangent_line(
 ) -> TangentLine:
     """Tangent of (rho, lam * lattice_rate) at rho0; degenerate for rho0 >= e."""
     x0 = _resolve_x(rho0, x0)
+    _require_finite(lam=lam)
     if x0 >= 1.0:
         raise ValueError(f"tangent degenerates for rho0 >= e (got ln rho0 = {x0!r})")
     one_minus = 1.0 - x0
@@ -310,9 +319,12 @@ def emit_curve(
         raise ValueError(f"unknown curve kind {kind!r}; choose from {CURVE_KINDS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    params = dict(params or {})
+    _require_finite(
+        x_min=x_min, x_max=x_max, **{k: v for k, v in params.items() if isinstance(v, float)}
+    )
     if x_max < x_min:
         raise ValueError("x_max must be >= x_min")
-    params = dict(params or {})
     if samples == 1:
         xs = [x_min]
     else:

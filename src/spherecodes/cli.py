@@ -218,6 +218,14 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a finite float (NaN and infinities exit with code 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
     p.add_argument(
@@ -236,27 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="emit samples of a rate curve")
     pb.add_argument("--kind", required=True, choices=bounds.CURVE_KINDS)
-    pb.add_argument("--x-min", type=float, required=True, help="lower ln(rho)")
-    pb.add_argument("--x-max", type=float, required=True, help="upper ln(rho)")
+    pb.add_argument("--x-min", type=finite_float, required=True, help="lower ln(rho)")
+    pb.add_argument("--x-max", type=finite_float, required=True, help="upper ln(rho)")
     pb.add_argument("--samples", type=int, default=100)
     pb.add_argument("--q", type=int, default=None, help="alphabet for gilbert_yaglom")
     pb.add_argument("--p", type=int, default=None, help="prime for tvz_line")
     pb.add_argument("--t", type=int, default=None, help="inner budget for tvz_line")
-    pb.add_argument("--tau", type=float, default=None, help="t/(p-1) for huge p")
-    pb.add_argument("--c", type=float, default=None, help="envelope constant x + 2y")
+    pb.add_argument("--tau", type=finite_float, default=None, help="t/(p-1) for huge p")
+    pb.add_argument("--c", type=finite_float, default=None, help="envelope constant x + 2y")
     pb.add_argument(
-        "--lambda", dest="lam", type=float, default=0.98, help="curve scaling"
+        "--lambda", dest="lam", type=finite_float, default=0.98, help="curve scaling"
     )
     _add_common(pb)
     pb.set_defaults(fn=_cmd_bounds)
 
     pr = sub.add_parser("region", help="emit the feasibility-region grid")
-    pr.add_argument("--lambda", dest="lam", type=float, default=0.98)
-    pr.add_argument("--x-min", type=float, default=-1000.0)
-    pr.add_argument("--x-max", type=float, default=-1.0)
+    pr.add_argument("--lambda", dest="lam", type=finite_float, default=0.98)
+    pr.add_argument("--x-min", type=finite_float, default=-1000.0)
+    pr.add_argument("--x-max", type=finite_float, default=-1.0)
     pr.add_argument("--x-steps", type=int, default=200)
-    pr.add_argument("--y-min", type=float, default=1.0)
-    pr.add_argument("--y-max", type=float, default=500.0)
+    pr.add_argument("--y-min", type=finite_float, default=1.0)
+    pr.add_argument("--y-max", type=finite_float, default=500.0)
     pr.add_argument("--y-steps", type=int, default=200)
     _add_common(pr)
     pr.set_defaults(fn=_cmd_region)

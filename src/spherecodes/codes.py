@@ -22,6 +22,10 @@ from .gf import ExtField, RSCode, is_probable_prime
 GREEDY_GUARD = 10**7
 #: codebook size above which distance verification is sampled
 EXHAUSTIVE_GUARD = 10**5
+#: codeword count above which LeeBCH.min_weights refuses to sweep: the numpy
+#: sweep ran 2.2e8 (p=13, t=4) to 4.7e8 (p=11, t=2) codewords/s on 2 cores,
+#: so a sweep below the guard ends within about 10 s
+SWEEP_GUARD = 2 * 10**9
 
 
 def primality_check(n: int, rounds: int = 64, seed: int = 0) -> bool:
@@ -87,7 +91,15 @@ class LeeBCH:
         return (msgs @ self.generator_matrix) % self.p
 
     def min_weights(self) -> tuple[int, int]:
-        """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords."""
+        """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords.
+
+        Raises ValueError above SWEEP_GUARD codewords.
+        """
+        if self.size > SWEEP_GUARD:
+            raise ValueError(
+                f"{self.p}^{self.k} = {self.size} codewords exceed the sweep guard "
+                f"{SWEEP_GUARD}; reduce p or raise t"
+            )
         c = constellation(self.p)
         return kernels.cyclic_min_weights(
             np.asarray(self.g, dtype=np.int64),

@@ -1,22 +1,22 @@
 """Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
 
-Every kernel exists twice: a numba ``@njit`` loop and a vectorized pure-numpy
-fallback.  The active path is chosen per call: numba when importable, unless
-``SPHERECODES_NO_NUMBA`` is set to a non-empty value.  Both variants are kept
-importable so the test suite and ``benchmarks/bench_kernels.py`` can compare
-them directly.
+Greedy selection (ball marking) and the word pair scan (an integer Gram scan)
+are exact algorithms with one numpy implementation each.  The float pair scan
+and the codeword sweep exist twice: a numba ``@njit`` loop and a vectorized
+pure-numpy fallback.  Their active path is chosen per call: numba when
+importable, unless ``SPHERECODES_NO_NUMBA`` is set to a non-empty value.
+Both variants are kept importable so the test suite can compare them directly.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
 ENV_FLAG = "SPHERECODES_NO_NUMBA"
 
-#: greedy selection result buffer cap, in words
-GREEDY_CAP = 1 << 21
 #: elements per working array of the numpy codeword sweep
 SWEEP_BUDGET = 1 << 20
 
@@ -41,7 +41,7 @@ def _block_rows(m: int, n: int, budget: int = 8_000_000) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallbacks (vectorized, chunked to bound memory)
+# numpy kernels (vectorized, chunked to bound memory)
 # ---------------------------------------------------------------------------
 
 
@@ -63,57 +63,124 @@ def min_sq_dist_real_numpy(points: np.ndarray) -> float:
     return best
 
 
-def min_dist_words_numpy(words: np.ndarray, table: np.ndarray, q: int) -> int:
-    w = np.ascontiguousarray(words, dtype=np.int64)
-    m, n = w.shape
-    block = _block_rows(m, n)
-    best = np.iinfo(np.int64).max
-    for i0 in range(0, m - 1, block):
-        blk = w[i0 : i0 + block]
-        tail = w[i0 + 1 :]
-        diff = (blk[:, None, :] - tail[None, :, :]) % q
-        sq = table[diff].sum(axis=2)
-        rows = np.arange(blk.shape[0])[:, None]
-        cols = np.arange(tail.shape[0])[None, :] + i0 + 1
-        valid = cols > rows + i0
-        if valid.any():
-            best = min(best, int(sq[valid].min()))
-    return int(best)
-
-
-def _digits_chunk(start: int, count: int, q: int, n: int) -> np.ndarray:
-    """Words ``start .. start+count`` in lexicographic order, leftmost digit
-    most significant."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    out = np.empty((count, n), dtype=np.int64)
+def _digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Digits of the word indices ``idx``, leftmost digit most significant."""
+    idx = np.array(idx, dtype=np.int64)
+    out = np.empty((idx.size, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         out[:, j] = idx % q
         idx //= q
     return out
 
 
-def greedy_lex_numpy(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
+def _digits_chunk(start: int, count: int, q: int, n: int) -> np.ndarray:
+    """Words ``start .. start+count`` in lexicographic order, leftmost digit
+    most significant."""
+    return _digits(np.arange(start, start + count, dtype=np.int64), q, n)
+
+
+def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
+    """The offsets of weight <= radius in Z_q^m, sorted by weight.
+
+    Returns their weights and a map from a word index w of Z_q^m to the
+    indices of the translates (w + offset) mod q, in the same order.
+    """
+    total = q**m
+    rows = max(1, SWEEP_BUDGET // max(m, 1))
+    parts = []
+    for start in range(0, total, rows):
+        chunk = _digits_chunk(start, min(rows, total - start), q, m)
+        parts.append(chunk[table[chunk].sum(axis=1) <= radius])
+    offs = np.concatenate(parts)
+    wt = table[offs].sum(axis=1)
+    order = np.argsort(wt, kind="stable")
+    offs_t = offs[order].T.copy()
+    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    fold = np.arange(2 * q - 1) % q  # reduces a digit sum, which is below 2q - 1
+
+    def translate(w: int) -> np.ndarray:
+        return place @ fold[(w // place % q)[:, None] + offs_t]
+
+    return wt[order], translate
+
+
+def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
+    """Greedy lexicographic selection of words at pairwise weight >= d.
+
+    Computed as a lexicode by ball marking (Conway & Sloane, "Lexicographic
+    codes", IEEE Trans. IT 1986).  The difference weight is translation
+    invariant, so a word is rejected exactly when it lies in (w + B) mod q for
+    some kept word w, B being the offsets of weight <= d-1.  Each kept word
+    clears its translate of B in a mask of free word indices, and the next
+    word kept is the first free index; Python loops over the kept words only.
+
+    A word index splits into a high part (the first n - n//2 digits) and a low
+    part, and the mask is viewed as a q^(n - n//2) x q^(n//2) matrix.  B is
+    the union, over each weight u of a high-half offset, of the high offsets of
+    weight u times the low offsets of weight <= d-1-u, so a translate is
+    cleared as one rows x columns block per weight u.  Only the two half balls
+    are held in memory, never B or the q^n x n digits of the word space.
+    """
     total = q**n
     if d <= 1:
         return _digits_chunk(0, total, q, n)
-    cap = min(total, GREEDY_CAP)
-    kept = np.zeros((cap, n), dtype=np.int64)
-    nkept = 1  # zero word is first in lex order, always kept
-    chunk = 4096
-    for start in range(0, total, chunk):
-        cands = _digits_chunk(start, min(chunk, total - start), q, n)
-        first = 1 if start == 0 else 0
-        for row in cands[first:]:
-            diff = (row[None, :] - kept[:nkept]) % q
-            if int(table[diff].sum(axis=1).min()) >= d:
-                if nkept >= cap:
-                    raise RuntimeError(
-                        "greedy selection exceeded the result buffer cap; "
-                        "reduce q**n or raise d"
-                    )
-                kept[nkept] = row
-                nkept += 1
-    return kept[:nkept].copy()
+    n_lo = n // 2
+    size_lo = q**n_lo
+    hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, table)
+    lo_wt, lo_translate = _half_ball(q, n_lo, d - 1, table)
+    weights, starts = np.unique(hi_wt, return_index=True)
+    ends = np.append(starts[1:], hi_wt.size)
+    widths = np.searchsorted(lo_wt, d - 1 - weights, side="right")
+    blocks = list(zip(starts.tolist(), ends.tolist(), widths.tolist()))
+    free = np.ones((total // size_lo, size_lo), dtype=bool)
+    flat = free.reshape(-1)
+    kept = []
+    w = 0  # the zero word comes first in lex order and is always kept
+    while True:
+        kept.append(w)
+        rows = hi_translate(w // size_lo)
+        cols = lo_translate(w % size_lo)
+        for a, b, width in blocks:
+            free[rows[a:b, None], cols[None, :width]] = False
+        w += int(flat[w:].argmax())  # w itself was just cleared
+        if not flat[w]:
+            return _digits(np.array(kept), q, n)
+
+
+def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
+    """Minimum pairwise difference weight over word rows, per-residue ``table``.
+
+    An exact integer Gram scan.  With C[a, b] = table[(a - b) mod q], the
+    distance of rows u and v is sum_j C[u_j, v_j], the (u, v) entry of
+    U @ (U @ blockdiag(C)).T for the one-hot (m, n*q) matrix U of the words.
+    The products run on BLAS in float64 and are exact, because every partial
+    sum is an integer of at most n * max|table| < 2^53.  The minimum is taken
+    over the strict upper triangle, one square tile of pairs at a time, each
+    within the _block_rows budget.  This is a pairwise enumeration that shares
+    no code with greedy selection.
+    """
+    w = np.asarray(words, dtype=np.int64)
+    tab = np.asarray(table, dtype=np.int64)
+    m, n = w.shape
+    if n * int(np.abs(tab).max()) >= 2**53:
+        raise ValueError("n * max|table| must stay below 2^53 for an exact float64 scan")
+    residues = np.arange(q)
+    cost = tab[(residues[:, None] - residues[None, :]) % q].astype(np.float64)
+    columns = q * np.arange(n)
+    side = math.isqrt(_block_rows(1, n))
+    best = np.inf
+    for i0 in range(0, m - 1, side):
+        # row i of U @ blockdiag(C) holds C[u_ij, b] at column j*q + b
+        left = cost[w[i0 : i0 + side]].reshape(-1, n * q)
+        for j0 in range(i0, m, side):
+            tail = w[j0 : j0 + side]
+            onehot = np.zeros((tail.shape[0], n * q))
+            onehot[np.arange(tail.shape[0])[:, None], tail + columns] = 1.0
+            dist = left @ onehot.T
+            if j0 == i0:
+                dist[np.tri(*dist.shape, dtype=bool)] = np.inf  # pairs (i, j) with j <= i
+            best = min(best, dist.min())
+    return int(best) if m >= 2 else int(np.iinfo(np.int64).max)
 
 
 def _encode_int16(start: int, count: int, p: int, rows: np.ndarray) -> np.ndarray:
@@ -210,58 +277,6 @@ if HAS_NUMBA:
         return best
 
     @njit(cache=True)
-    def _min_dist_words_jit(words, table, q):
-        m, n = words.shape
-        best = np.int64(1) << 62
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                acc = np.int64(0)
-                for t in range(n):
-                    dlt = words[i, t] - words[j, t]
-                    if dlt < 0:
-                        dlt += q
-                    acc += table[dlt]
-                    if acc >= best:
-                        break
-                if acc < best:
-                    best = acc
-        return best
-
-    @njit(cache=True)
-    def _greedy_lex_jit(q, n, d, table, total, kept):
-        cap = kept.shape[0]
-        nkept = 1  # zero word already in row 0
-        cand = np.zeros(n, dtype=np.int64)
-        for _ in range(total - 1):
-            j = n - 1
-            while True:
-                cand[j] += 1
-                if cand[j] < q:
-                    break
-                cand[j] = 0
-                j -= 1
-            ok = True
-            for i in range(nkept):
-                acc = np.int64(0)
-                for t in range(n):
-                    dlt = cand[t] - kept[i, t]
-                    if dlt < 0:
-                        dlt += q
-                    acc += table[dlt]
-                    if acc >= d:
-                        break
-                if acc < d:
-                    ok = False
-                    break
-            if ok:
-                if nkept >= cap:
-                    return -1
-                for t in range(n):
-                    kept[nkept, t] = cand[t]
-                nkept += 1
-        return nkept
-
-    @njit(cache=True)
     def _cyclic_min_weights_jit(g, k, n, p, lee_table, we_table):
         deg = g.size - 1
         cw = np.zeros(n, dtype=np.int64)
@@ -300,36 +315,6 @@ if HAS_NUMBA:
     def min_sq_dist_real_numba(points: np.ndarray) -> float:
         return float(_min_sq_dist_real_jit(np.ascontiguousarray(points, dtype=np.float64)))
 
-    def min_dist_words_numba(words: np.ndarray, table: np.ndarray, q: int) -> int:
-        return int(
-            _min_dist_words_jit(
-                np.ascontiguousarray(words, dtype=np.int64),
-                np.ascontiguousarray(table, dtype=np.int64),
-                np.int64(q),
-            )
-        )
-
-    def greedy_lex_numba(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
-        total = q**n
-        if d <= 1:
-            return _digits_chunk(0, total, q, n)
-        cap = min(total, GREEDY_CAP)
-        kept = np.zeros((cap, n), dtype=np.int64)
-        nkept = _greedy_lex_jit(
-            np.int64(q),
-            np.int64(n),
-            np.int64(d),
-            np.ascontiguousarray(table, dtype=np.int64),
-            np.int64(total),
-            kept,
-        )
-        if nkept < 0:
-            raise RuntimeError(
-                "greedy selection exceeded the result buffer cap; "
-                "reduce q**n or raise d"
-            )
-        return kept[:nkept].copy()
-
     def cyclic_min_weights_numba(g, k, n, p, lee_table, we_table):
         lee, we = _cyclic_min_weights_jit(
             np.ascontiguousarray(g, dtype=np.int64),
@@ -343,24 +328,18 @@ if HAS_NUMBA:
 
 else:  # pragma: no cover
     min_sq_dist_real_numba = None
-    min_dist_words_numba = None
-    greedy_lex_numba = None
     cyclic_min_weights_numba = None
 
 
 IMPLEMENTATIONS = {
     "numpy": {
         "min_sq_dist_real": min_sq_dist_real_numpy,
-        "min_dist_words": min_dist_words_numpy,
-        "greedy_lex": greedy_lex_numpy,
         "cyclic_min_weights": cyclic_min_weights_numpy,
     },
     "numba": None
     if not HAS_NUMBA
     else {
         "min_sq_dist_real": min_sq_dist_real_numba,
-        "min_dist_words": min_dist_words_numba,
-        "greedy_lex": greedy_lex_numba,
         "cyclic_min_weights": cyclic_min_weights_numba,
     },
 }
@@ -373,16 +352,6 @@ def _impl(name: str):
 def min_sq_dist_real(points: np.ndarray) -> float:
     """Minimum pairwise squared Euclidean distance over rows (>= 2 rows)."""
     return _impl("min_sq_dist_real")(points)
-
-
-def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
-    """Minimum pairwise difference weight over word rows, per-residue ``table``."""
-    return _impl("min_dist_words")(words, table, q)
-
-
-def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
-    """Greedy lexicographic selection of words at pairwise weight >= d."""
-    return _impl("greedy_lex")(q, n, d, table)
 
 
 def cyclic_min_weights(g, k, n, p, lee_table, we_table) -> tuple[int, int]:

@@ -278,8 +278,7 @@ def _primality(seed: int) -> list[CriterionResult]:
 def _lee_floors(seed: int) -> list[CriterionResult]:
     t0 = time.perf_counter()
     pairs = [(5, 2), (7, 2), (11, 2)]
-    skipped = "(7, 3) skipped: parity p = t+1 mod 2 does not admit it"
-    details = [skipped]
+    details = []
     ok = True
     for p, t in pairs:
         code = codes.lee_bch(p, t)

@@ -270,3 +270,24 @@ def test_emit_curve_deterministic():
     a = bounds.emit_curve("scaled_shannon", {"lam": 0.976}, -50.0, -1.0, 100)
     b = bounds.emit_curve("scaled_shannon", {"lam": 0.976}, -50.0, -1.0, 100)
     assert a == b
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_entry_points_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bounds.shannon_rate(x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.lattice_rate(rho=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tangent_line(x0=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tangent_line(x0=-1.0, lam=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.emit_curve("shannon", None, bad, 0.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.emit_curve("shannon", None, -1.0, bad, 3)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.emit_curve("scaled_shannon", {"lam": bad}, -2.0, -1.0, 3)

@@ -139,6 +139,31 @@ def test_build_usage_error(capsys):
     assert code == 2
 
 
+def test_build_refuses_oversized_bch_sweep(capsys):
+    # 17^14 codewords: refused before any sweep starts
+    code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert "codewords" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --kind shannon --x-min={} --x-max 0",
+        "bounds --kind shannon --x-min -5 --x-max={}",
+        "bounds --kind envelope --c={} --x-min -3000 --x-max -600",
+        "region --y-max={}",
+    ],
+)
+def test_non_finite_arguments_exit_2(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.format(bad).split())
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "sub"))
     code, *_ = run_cli(

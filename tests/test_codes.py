@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,39 @@ def test_greedy_gilbert_unreachable_distance():
     words = codes.greedy_gilbert(5, 2, 9)
     assert words.shape[0] == 1
     assert words[0].tolist() == [0, 0]
+
+
+def _greedy_oracle(q, n, d, table):
+    # the pairwise greedy rule: scan Z_q^n in lex order, keep a word iff its
+    # difference weight to every kept word is at least d
+    kept = []
+    for word in itertools.product(range(q), repeat=n):
+        if all(sum(table[(a - b) % q] for a, b in zip(word, w)) >= d for w in kept):
+            kept.append(list(word))
+    return kept
+
+
+# odd and even q, d = 1, d above n * a_int (one word kept), n = 1 (no low
+# half), odd n (unequal halves)
+@pytest.mark.parametrize(
+    "q,n,d",
+    [(2, 3, 1), (2, 5, 2), (3, 4, 3), (3, 3, 4), (4, 3, 4), (4, 3, 13), (5, 3, 6),
+     (5, 4, 2), (6, 2, 5), (7, 1, 5), (3, 5, 5)],
+)
+def test_greedy_matches_pairwise_oracle(q, n, d):
+    c = euclid.constellation(q)
+    words = codes.greedy_gilbert(q, n, d)
+    assert words.dtype == np.int64
+    assert words.tolist() == _greedy_oracle(q, n, d, c.euclid_table.tolist())
+    assert words.tolist() == sorted(words.tolist())
+
+
+def test_greedy_kernel_orients_differences_like_the_oracle():
+    # with an asymmetric table, d(x, w) uses (x - w) mod q for a later word x
+    # and a kept word w
+    table = np.array([0, 1, 4, 2, 3])
+    words = kernels.greedy_lex(5, 3, 4, table)
+    assert words.tolist() == _greedy_oracle(5, 3, 4, table.tolist())
 
 
 def test_greedy_scale_guard():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherecodes import euclid
+from spherecodes import euclid, kernels
 
 
 def test_constellation_odd():
@@ -156,6 +156,37 @@ def test_min_sq_distance_words():
     assert euclid.min_sq_distance(words, c) == 1
     c5 = euclid.constellation(5)
     assert euclid.min_sq_distance(np.array([[0], [1], [3]]), c5) == 1
+
+
+def _min_dist_oracle(words, table, q):
+    return min(
+        sum(table[(a - b) % q] for a, b in zip(u, v))
+        for i, u in enumerate(words)
+        for v in words[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("budget", [1, 9, 10**6])
+@pytest.mark.parametrize("q,m,n", [(2, 2, 5), (5, 3, 1), (7, 60, 4), (8, 90, 3)])
+def test_min_dist_words_matches_double_loop(monkeypatch, q, m, n, budget):
+    # budgets 1 and 9 give tiles of side 1 and 3, so the scan crosses tile
+    # boundaries on and off the diagonal
+    monkeypatch.setattr(kernels, "_block_rows", lambda rows, cols: budget)
+    rng = np.random.default_rng(q * m * n)
+    words = rng.integers(0, q, size=(m, n))
+    table = euclid.constellation(q).euclid_table
+    assert kernels.min_dist_words(words, table, q) == _min_dist_oracle(
+        words.tolist(), table.tolist(), q
+    )
+    dup = np.vstack([words, words[m // 2]])  # a duplicate row: distance 0
+    assert kernels.min_dist_words(dup, table, q) == 0
+
+
+def test_min_dist_words_rejects_inexact_tables():
+    words = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="2\\^53"):
+        kernels.min_dist_words(words, np.array([0, 2**52]), 2)
+    assert kernels.min_dist_words(words, np.array([0, 2**51]), 2) == 2**52
 
 
 def test_min_sq_distance_real():

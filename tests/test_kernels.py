@@ -30,27 +30,6 @@ def test_min_sq_dist_real_paths_agree():
     assert jit(pts[perm]) == pytest.approx(jit(pts), rel=1e-15)
 
 
-def test_min_dist_words_paths_agree():
-    rng = np.random.default_rng(1)
-    q = 7
-    words = rng.integers(0, q, size=(200, 6))
-    table = constellation(q).euclid_table
-    jit, plain = _both("min_dist_words")
-    assert jit(words, table, q) == plain(words, table, q)
-
-
-@pytest.mark.parametrize("q,n,d", [(2, 3, 1), (3, 4, 3), (5, 3, 6), (4, 3, 4)])
-def test_greedy_paths_agree(q, n, d):
-    table = constellation(q).euclid_table
-    jit, plain = _both("greedy_lex")
-    a = jit(q, n, d, table)
-    b = plain(q, n, d, table)
-    assert np.array_equal(a, b)
-    # lexicographic order of the kept words
-    keys = [tuple(row) for row in a]
-    assert keys == sorted(keys)
-
-
 def test_cyclic_min_weights_paths_agree():
     from spherecodes.codes import lee_bch
 
