@@ -116,20 +116,18 @@ def _cmd_build(args) -> int:
             raise ValueError("--gilbert needs --q, --n and --d")
         words = codes.greedy_gilbert(args.q, args.n, args.d)
         sph = codes.to_spherical(args.q, words, d_floor=args.d)
-        exhaustive = words.shape[0] <= 4096
         from . import counting, euclid
 
         measured = (
-            euclid.min_sq_distance(words, euclid.constellation(args.q))
-            if exhaustive and words.shape[0] >= 2
-            else None
+            f"{euclid.min_sq_distance(words, euclid.constellation(args.q))} (exhaustive)"
+            if words.shape[0] >= 2
+            else "undefined (one word)"
         )
         bound = -(-args.q**args.n // counting.ball_size(args.q, args.n, args.d - 1))
         print_lines += [
             f"greedy code over Z_{args.q}: n={args.n} |C|={words.shape[0]} "
             f"(size bound {bound})",
-            f"guaranteed floor {args.d}; measured min distance "
-            f"{measured if measured is not None else 'skipped'} (exhaustive)",
+            f"guaranteed floor {args.d}; measured min distance {measured}",
             f"spherical: dimension {args.n + 1}, rho={sph.rho!r} "
             f"(floor {sph.floor_rho!r}), binary rate {sph.binary_rate!r}",
         ]
@@ -224,6 +222,32 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _is_negative_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return word.startswith("-")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--opt -1e3`` into ``--opt=-1e3``.
+
+    argparse takes a word such as ``-1e3`` or ``-inf`` for an unknown option
+    (it reads only ``-3000`` and ``-0.5`` forms as negative numbers), so such
+    a value could be given only after ``=``.  No option of this program looks
+    like a number, so a number after a long option is that option's value.
+    """
+    out: list[str] = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _is_negative_number(word):
+            out[-1] = f"{prev}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -327,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv, parser)
+        argv = _attach_negative_values(_apply_config(argv, parser))
         args = parser.parse_args(argv)
         return args.fn(args)
     except ValueError as exc:

@@ -9,8 +9,9 @@ The per-coordinate difference-weight enumerator of Z_q is
 so f(1) = q.  (For even q the literature sometimes drops the lone weight
 (s+1)^2 term, which would make f(1) = q - 1; the corrected form above is the
 one whose powers count words.)  The number of words of weight <= r in Z_q^n is
-the partial coefficient sum of f(z)^n, computed here by exact integer
-convolution.  Its exponential growth rate at radius r = lambda*n is
+the partial coefficient sum of f(z)^n, computed here exactly by the power
+recurrence of :func:`ball_size`.  Its exponential growth rate at radius
+r = lambda*n is
 
     (1/n) log2 V -> log2 f(mu) - lambda*log2(mu),
 
@@ -116,8 +117,14 @@ def theta_enumerator(truncation: int) -> WeightEnumerator:
 def ball_size(q: int, n: int, r: int) -> int:
     """Exact number of words of Z_q^n with difference weight <= r.
 
-    Convolution DP over the n coordinates in arbitrary-precision integers;
-    coefficients beyond degree r never contribute and are dropped.
+    The coefficients g_k of g = f^n obey f g' = n f' g (J.C.P. Miller's
+    power recurrence, Knuth TAOCP vol. 2, 4.7); with f_0 = 1 this reads
+
+        k g_k = sum_{0 < w <= k} ((n+1) w - k) c_w g_{k-w},
+
+    an exact integer division, so the count costs O(r |W|) big-integer
+    operations instead of O(n r |W|) for a coordinate-by-coordinate
+    convolution.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,21 +132,18 @@ def ball_size(q: int, n: int, r: int) -> int:
         return 0
     f = enumerator(q)
     cap = min(r, n * f.w_max)
-    coeffs = [0] * (cap + 1)
-    coeffs[0] = 1
-    pairs = list(zip(f.weights, f.counts))
-    for _ in range(n):
-        new = [0] * (cap + 1)
-        for j, v in enumerate(coeffs):
-            if not v:
-                continue
-            for w, c in pairs:
-                jw = j + w
-                if jw > cap:
-                    break
-                new[jw] += v * c
-        coeffs = new
-    return sum(coeffs)
+    # (w, (n+1) w c_w, c_w) for the nonzero weights, in increasing w
+    terms = [(w, (n + 1) * w * c, c) for w, c in zip(f.weights[1:], f.counts[1:])]
+    g = [0] * (cap + 1)
+    g[0] = 1
+    for k in range(1, cap + 1):
+        acc = 0
+        for w, a, c in terms:
+            if w > k:
+                break
+            acc += (a - k * c) * g[k - w]
+        g[k] = acc // k
+    return sum(g)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Extension-field elements are identified with integers in [0, p^k): the value
 sum_i c_i p^i encodes the polynomial sum_i c_i z^i taken modulo a fixed monic
 irreducible.  Multiplication goes through discrete log/antilog tables built
-from a primitive element, addition through digit-wise tables, so bulk encoding
+from a primitive element, addition through a Zech-logarithm table
+(1 + g^i = g^zech[i]), so every table has O(p^k) entries and bulk encoding
 vectorizes with numpy fancy indexing.  Table construction is guarded to small
 fields; that is all the desk-scale constructions need.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -220,58 +222,56 @@ class ExtField:
             v = v * self.p + d[..., i]
         return v
 
-    def _mul_scalar(self, a: int, b: int) -> int:
-        da, db = self.to_digits(a), self.to_digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i in range(self.k):
-            for j in range(self.k):
-                prod[i + j] = (prod[i + j] + int(da[i]) * int(db[j])) % self.p
-        rem = _poly_rem(prod, list(self.irreducible), self.p)
-        rem += [0] * (self.k - len(rem))
-        return int(self.from_digits(np.asarray(rem[: self.k])))
-
     def _build_tables(self):
         q, p, k = self.Q, self.p, self.k
+        mod = list(self.irreducible)
+        places = [p**i for i in range(k)]
+
+        def digits(v: int) -> list[int]:
+            return [v // place % p for place in places]
+
         # primitive element: smallest integer encoding with multiplicative
         # order q - 1
         fac = list(factorize(q - 1))
 
-        def order_ok(g: int) -> bool:
-            for f in fac:
-                e = (q - 1) // f
-                acc, base = 1, g
-                while e:
-                    if e & 1:
-                        acc = self._mul_scalar(acc, base)
-                    base = self._mul_scalar(base, base)
-                    e >>= 1
-                if acc == 1:
-                    return False
-            return True
+        def full_order(g: int) -> bool:
+            return all(_poly_powmod(digits(g), (q - 1) // f, mod, p) != [1] for f in fac)
 
-        gen = next(g for g in range(2, q) if order_ok(g))
+        gen = next(g for g in range(2, q) if full_order(g))
         self.generator = gen
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        acc = 1
+        # rows of the GF(p)-linear map "multiply by the generator" on digit
+        # vectors: column j holds the digits of z^j * generator
+        cols = []
+        for j in range(k):
+            col = _poly_mul_mod([0] * j + [1], digits(gen), mod, p)
+            cols.append(col + [0] * (k - len(col)))
+        rows = list(zip(*cols))
+        powers = [0] * (q - 1)
+        acc = [1] + [0] * (k - 1)
         for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_scalar(acc, gen)
-        exp[q - 1 :] = exp[: q - 1]
-        self._exp, self._log = exp, log
-        # digit-wise addition table, built in row chunks to bound memory
-        dig = self.to_digits(np.arange(q))
-        add = np.empty((q, q), dtype=np.int64)
-        step = max(1, (1 << 22) // (q * k))
-        for i0 in range(0, q, step):
-            blk = (dig[i0 : i0 + step, None, :] + dig[None, :, :]) % p
-            add[i0 : i0 + step] = self.from_digits(blk)
-        self._add = add
+            powers[i] = sum(map(operator.mul, acc, places))
+            acc = [sum(map(operator.mul, row, acc)) % p for row in rows]
+        exp = np.array(powers, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        # Zech logarithms: 1 + g^i = g^zech[i], -1 where 1 + g^i = 0; adding
+        # one bumps the constant digit mod p.  Both tables are stored twice so
+        # that any sum or difference of two logs in [-1, q-2] indexes them
+        # without a reduction mod q - 1 (negative indices wrap).
+        zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
+        self._zech = np.concatenate([zech, zech])
+        self._exp = np.concatenate([exp, exp])
+        self._log = log
 
     # -- vectorized field ops -------------------------------------------------
     def add(self, a, b) -> np.ndarray:
-        return self._add[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
+        """a + b = a (1 + b/a) = g^(log a + zech[log b - log a]) for nonzero a, b."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        out = np.where(z < 0, 0, self._exp[la + z])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def neg(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -19,6 +19,14 @@ from . import bounds, codes, counting, euclid, gf, kernels
 
 LN2 = math.log(2.0)
 
+#: the documented discrepancy of region_demo_window, pinned to its numbers: the
+#: residual F at bounds.REGION_DEMO_X (positive, so the tau window there is
+#: empty), to half a unit of its last digit, and the abscissa nearby whose
+#: window does contain bounds.REGION_DEMO_TAU
+DEMO_WINDOW_RESIDUAL = 8.542303e-06
+DEMO_WINDOW_RESIDUAL_ATOL = 5e-13
+DEMO_WINDOW_X_FIX = -640.5404
+
 
 @dataclass
 class CriterionResult:
@@ -65,7 +73,7 @@ def _ball_oracle(seed: int) -> list[CriterionResult]:
                 got = counting.ball_size(q, n, r)
                 checked += 1
                 if got != expect:
-                    bad.append(f"q={q} n={n} r={r}: DP {got} != enumeration {expect}")
+                    bad.append(f"q={q} n={n} r={r}: ball_size {got} != enumeration {expect}")
     dt = time.perf_counter() - t0
     ok = not bad and dt < 10.0
     details = [f"{checked} (q, n, r) triples, exact match" if not bad else "; ".join(bad[:5])]
@@ -89,18 +97,20 @@ def _saddle(seed: int) -> list[CriterionResult]:
     err_exp = abs(sol.exponent - 1.5)
     err_mu = abs(sol.mu - 0.5)
     v = counting.ball_size(3, 2000, 1000)
-    dp_exp = math.log2(v) / 2000.0
-    err_dp = abs(dp_exp - 1.5)
+    count_exp = math.log2(v) / 2000.0
+    err_count = abs(count_exp - 1.5)
     dt = time.perf_counter() - t0
-    ok = err_exp <= 1e-12 and err_dp <= 0.02 and dt < 30.0
+    ok = err_exp <= 1e-12 and err_count <= 0.02 and dt < 30.0
     details = [
         f"exponent {sol.exponent!r} (|err| {err_exp:.2e}), mu err {err_mu:.2e}",
-        f"(1/n) log2 ball_size(3, 2000, 1000) = {dp_exp:.6f} (|err| {err_dp:.4f} <= 0.02)",
+        f"(1/n) log2 ball_size(3, 2000, 1000) = {count_exp:.6f} "
+        f"(|err| {err_count:.4f} <= 0.02)",
     ]
     return [
         CriterionResult(
             key="saddle",
-            description="saddle exponent 1.5 at q=3, lambda=0.5; n=2000 DP within 0.02",
+            description="saddle exponent 1.5 at q=3, lambda=0.5; exact n=2000 ball count "
+            "within 0.02",
             passed=ok,
             seconds=dt,
             time_limit=30.0,
@@ -204,21 +214,26 @@ def _region_demo(seed: int) -> list[CriterionResult]:
     t0 = time.perf_counter()
     lo, hi = bounds.tau_window(x0, y, lam)
     contains = lo <= tau <= hi
-    x_fix = -640.5404
+    x_fix = DEMO_WINDOW_X_FIX
     lo_f, hi_f = bounds.tau_window(x_fix, y, lam)
     contains_fix = lo_f <= tau <= hi_f
+    # a known failure only while both numbers of the discrepancy are the pinned ones
+    documented = (
+        abs(resid - DEMO_WINDOW_RESIDUAL) <= DEMO_WINDOW_RESIDUAL_ATOL and contains_fix
+    )
     dt = time.perf_counter() - t0
     out.append(
         CriterionResult(
             key="region_demo_window",
             description=f"tau window at the demonstration point contains {tau}",
             passed=contains,
-            expected_fail=not contains,
+            expected_fail=documented,
             seconds=dt,
             time_limit=1.0,
             details=[
-                f"window at x={x0}: [{lo:.9f}, {hi:.9f}] (empty: residual is +8.5e-06), "
-                f"cannot contain {tau}",
+                f"window at x={x0}: [{lo:.9f}, {hi:.9f}] contains {tau} = {contains} "
+                f"(residual {resid:.6e}; documented {DEMO_WINDOW_RESIDUAL:.6e} "
+                f"+- {DEMO_WINDOW_RESIDUAL_ATOL:.0e})",
                 f"documented discrepancy: at x={x_fix} the window "
                 f"[{lo_f:.9f}, {hi_f:.9f}] contains {tau} = {contains_fix}; the "
                 "published abscissa is off by ~0.06",

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -108,6 +109,12 @@ def test_build_gilbert(capsys):
     assert "size bound 3" in out
     code, out, _ = run_cli(capsys, "build", "--gilbert", "--q", "2", "--n", "3", "--d", "1")
     assert "|C|=8" in out
+    # a set of any size gets the exhaustive distance check
+    code, out, _ = run_cli(capsys, "build", "--gilbert", "--q", "3", "--n", "9", "--d", "2")
+    assert "|C|=4921" in out
+    assert "measured min distance 2 (exhaustive)" in out
+    code, out, _ = run_cli(capsys, "build", "--gilbert", "--q", "2", "--n", "1", "--d", "2")
+    assert "|C|=1" in out and "measured min distance undefined (one word)" in out
 
 
 def test_build_concatenated(capsys, tmp_path):
@@ -155,6 +162,9 @@ def test_build_refuses_oversized_bch_sweep(capsys):
         "bounds --kind shannon --x-min -5 --x-max={}",
         "bounds --kind envelope --c={} --x-min -3000 --x-max -600",
         "region --y-max={}",
+        # as a separate word, -inf exits through the same message
+        "bounds --kind shannon --x-min {} --x-max 0",
+        "region --y-min {}",
     ],
 )
 def test_non_finite_arguments_exit_2(capsys, argv, bad):
@@ -162,6 +172,22 @@ def test_non_finite_arguments_exit_2(capsys, argv, bad):
         cli.main(argv.format(bad).split())
     assert exc.value.code == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,first_x",
+    [
+        ("bounds --kind lattice --x-min -1e3 --x-max -1 --samples 2", -1000.0),
+        ("bounds --kind lattice --x-min -1.5e-2 --x-max -1e-3 --samples 2", -0.015),
+        ("bounds --kind envelope --c -1e1 --x-min -3e3 --x-max -6e2 --samples 2",
+         -3000.0),
+        ("region --x-min -1e3 --x-max -6e2 --x-steps 2 --y-steps 2", -1000.0),
+    ],
+)
+def test_negative_exponent_floats_as_separate_words(capsys, argv, first_x):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert float(out.split("\n")[1].split(",")[0]) == first_x
 
 
 def test_outdir_env(tmp_path, monkeypatch, capsys):
@@ -200,6 +226,24 @@ def test_verify_region_demo_composite(capsys):
     assert "[KNOWN-FAIL] region_demo_window" in out
     assert "[PASS] region_demo_dominance" in out
     assert "[PASS] primality" in out
+
+
+@pytest.mark.parametrize(
+    "module,attr,value",
+    [
+        ("bounds", "REGION_DEMO_X", -640.47),  # another residual, still an empty window
+        ("bounds", "REGION_DEMO_X", -640.4800001),  # residual off by 7e-11
+        ("verify", "DEMO_WINDOW_RESIDUAL", 8.5423e-06),
+        ("verify", "DEMO_WINDOW_X_FIX", -640.48),  # a window without tau
+    ],
+)
+def test_region_demo_window_fails_off_its_pinned_numbers(
+    capsys, monkeypatch, module, attr, value
+):
+    monkeypatch.setattr(importlib.import_module(f"spherecodes.{module}"), attr, value)
+    code, out, _ = run_cli(capsys, "verify", "--only", "region_demo")
+    assert code == 1
+    assert "[FAIL] region_demo_window" in out
 
 
 def test_verify_unknown_key(capsys):

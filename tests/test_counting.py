@@ -64,6 +64,45 @@ def test_ball_size_exhaustive(q, n):
         assert ball_size(q, n, r) == expected
 
 
+def _convolution_coefficients(q, n):
+    """Oracle: the coefficients of f(z)^n by a coordinate-by-coordinate
+    convolution DP."""
+    f = enumerator(q)
+    coeffs = [1]
+    for _ in range(n):
+        new = [0] * (len(coeffs) + f.w_max)
+        for j, v in enumerate(coeffs):
+            for w, c in zip(f.weights, f.counts):
+                new[j + w] += v * c
+        coeffs = new
+    return coeffs
+
+
+# odd and even q up to 12, n up to 30, each with every r through n*w_max + 2
+_RECURRENCE_GRID = [(q, n) for q in range(2, 13) for n in (1, 2, 3, 4, 7, 12)] + [
+    (q, 30) for q in range(2, 8)
+]
+
+
+@pytest.mark.parametrize("q,n", _RECURRENCE_GRID)
+def test_ball_size_matches_convolution_oracle(q, n):
+    coeffs = _convolution_coefficients(q, n)
+    top = n * enumerator(q).w_max
+    assert len(coeffs) == top + 1 and sum(coeffs) == q**n
+    assert ball_size(q, n, -1) == 0
+    for r in range(top + 3):
+        assert ball_size(q, n, r) == sum(coeffs[: r + 1]), r
+
+
+def test_ball_size_binary_is_partial_binomial_sum():
+    n = 3000
+    partial = [0]
+    for j in range(n + 1):
+        partial.append(partial[-1] + math.comb(n, j))
+    for r in (0, 1, 2, 17, 1499, 1500, 1501, 2999, 3000, 3001):
+        assert ball_size(2, n, r) == partial[min(r, n) + 1], r
+
+
 def test_ball_size_monotone_and_saturates():
     prev = 0
     for r in range(0, 30):

@@ -71,6 +71,55 @@ def test_field_axioms(p, k):
     assert len(seen) == F.Q - 1
 
 
+def _digit_sum(F, a, b):
+    """Oracle: field addition as digit-wise addition mod p."""
+    return F.from_digits((F.to_digits(a) + F.to_digits(b)) % F.p)
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (3, 5), (2, 8)])
+def test_add_matches_digit_sum_on_all_pairs(p, k):
+    F = gf.ExtField(p, k)
+    a, b = np.meshgrid(np.arange(F.Q), np.arange(F.Q), indexing="ij")
+    got = F.add(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _digit_sum(F, a, b))
+
+
+@pytest.mark.parametrize("p,k", [(7, 4), (5, 6)])
+def test_add_matches_digit_sum_on_random_pairs(p, k):
+    F = gf.ExtField(p, k)
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, F.Q, size=(2, 100_000))
+    a[:100] = 0  # the zero cases of the Zech-log path
+    b[50:150] = 0
+    assert np.array_equal(F.add(a, b), _digit_sum(F, a, b))
+    # broadcasting, as RS encoding uses it
+    rows, col = a[:512].reshape(64, 8), b[:64, None]
+    assert np.array_equal(F.add(rows, col), _digit_sum(F, rows, col))
+
+
+def test_exp_table_is_the_generator_cycle():
+    F = gf.ExtField(7, 4)
+    mod = list(F.irreducible)
+    g = [int(d) for d in F.to_digits(F.generator)]
+    exp = F._exp
+    for i in range(F.Q - 1):
+        want = gf._poly_mul_mod([int(d) for d in F.to_digits(exp[i])], g, mod, F.p)
+        want += [0] * (F.k - len(want))
+        assert exp[i + 1] == F.from_digits(np.array(want)), i
+    assert exp[0] == 1 and sorted(exp[: F.Q - 1]) == list(range(1, F.Q))
+    assert np.array_equal(exp[F.Q - 1 :], exp[: F.Q - 1])
+    assert F._log[0] == -1
+    assert np.array_equal(F._log[exp[: F.Q - 1]], np.arange(F.Q - 1))
+
+
+def test_generators_pinned():
+    # smallest integer encodings of full order, as every earlier build chose
+    pinned = {(7, 2): 9, (7, 4): 12, (5, 2): 6, (5, 3): 9, (11, 2): 15, (3, 5): 3,
+              (2, 8): 3, (5, 6): 5}
+    assert {pk: gf.ExtField(*pk).generator for pk in pinned} == pinned
+
+
 def test_field_guards():
     with pytest.raises(ValueError):
         gf.ExtField(6, 2)
