@@ -155,7 +155,7 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     k = len(coeffs) - 1
     if k < 1:
         return False
-    x = [0, 1]
+    x = _poly_rem([0, 1], coeffs, p)  # z itself is reduced when k == 1
     xq = _poly_powmod(x, p**k, coeffs, p)
     if _poly_sub(xq, x, p):
         return False

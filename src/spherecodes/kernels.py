@@ -1,38 +1,26 @@
 """Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
 
-Greedy selection (ball marking) and the word pair scan (an integer Gram scan)
-are exact algorithms with one numpy implementation each.  The float pair scan
-and the codeword sweep exist twice: a numba ``@njit`` loop and a vectorized
-pure-numpy fallback.  Their active path is chosen per call: numba when
-importable, unless ``SPHERECODES_NO_NUMBA`` is set to a non-empty value.
-Both variants are kept importable so the test suite can compare them directly.
+Each kernel has one numpy implementation: greedy selection by ball marking,
+an exact integer Gram scan for word sets, a chunked float pair scan, and a
+meet-in-the-middle codeword weight sweep.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_FLAG = "SPHERECODES_NO_NUMBA"
-
-#: elements per working array of the numpy codeword sweep
+#: elements per working array of the codeword sweep
 SWEEP_BUDGET = 1 << 20
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAS_NUMBA = False
 
 
 def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    if HAS_NUMBA and not os.environ.get(ENV_FLAG):
-        return "numba"
+    """The kernel backend, always ``"numpy"``.
+
+    Benchmark records carry it, and records whose backends differ are not
+    compared.
+    """
     return "numpy"
 
 
@@ -40,12 +28,8 @@ def _block_rows(m: int, n: int, budget: int = 8_000_000) -> int:
     return max(1, budget // max(1, m * n))
 
 
-# ---------------------------------------------------------------------------
-# numpy kernels (vectorized, chunked to bound memory)
-# ---------------------------------------------------------------------------
-
-
-def min_sq_dist_real_numpy(points: np.ndarray) -> float:
+def min_sq_dist_real(points: np.ndarray) -> float:
+    """Minimum pairwise squared Euclidean distance over rows (>= 2 rows)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     m, dim = pts.shape
     block = _block_rows(m, dim)
@@ -190,11 +174,12 @@ def _encode_int16(start: int, count: int, p: int, rows: np.ndarray) -> np.ndarra
     return ((msgs @ rows) % p).astype(np.int16)
 
 
-def cyclic_min_weights_numpy(
+def cyclic_min_weights(
     g: np.ndarray, k: int, n: int, p: int, lee_table: np.ndarray, we_table: np.ndarray
 ) -> tuple[int, int]:
-    """Exhaustive minimum Lee / Euclidean weight over the nonzero codewords of
-    the cyclic code generated by g (degree n-k), by a meet-in-the-middle sweep.
+    """Exhaustive (min Lee, min Euclid) weight over the nonzero codewords of
+    the cyclic code with generator polynomial coefficients ``g`` (ascending,
+    degree n-k), by a meet-in-the-middle sweep.
 
     A message splits into a high half h (its first k - k//2 digits) and a low
     half l (its last k//2 digits), and its codeword is c(h) + c(l).  Generator
@@ -254,107 +239,3 @@ def cyclic_min_weights_numpy(
                         s[0, 0] = big  # the zero codeword
                     best[w] = min(best[w], int(s.min()))
     return best[0], best[1]
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _min_sq_dist_real_jit(pts):
-        m, dim = pts.shape
-        best = np.inf
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                acc = 0.0
-                for t in range(dim):
-                    dlt = pts[i, t] - pts[j, t]
-                    acc += dlt * dlt
-                if acc < best:
-                    best = acc
-        return best
-
-    @njit(cache=True)
-    def _cyclic_min_weights_jit(g, k, n, p, lee_table, we_table):
-        deg = g.size - 1
-        cw = np.zeros(n, dtype=np.int64)
-        digits = np.zeros(k, dtype=np.int64)
-        lee_sum = np.int64(0)
-        we_sum = np.int64(0)
-        best_lee = np.int64(1) << 62
-        best_we = np.int64(1) << 62
-        total = np.int64(1)
-        for _ in range(k):
-            total *= p
-        for _ in range(total - 1):
-            # odometer step: each digit increment adds one shifted copy of g
-            i = 0
-            while True:
-                for t in range(deg + 1):
-                    pos = i + t
-                    old = cw[pos]
-                    new = old + g[t]
-                    if new >= p:
-                        new -= p
-                    cw[pos] = new
-                    lee_sum += lee_table[new] - lee_table[old]
-                    we_sum += we_table[new] - we_table[old]
-                digits[i] += 1
-                if digits[i] < p:
-                    break
-                digits[i] = 0
-                i += 1
-            if lee_sum < best_lee:
-                best_lee = lee_sum
-            if we_sum < best_we:
-                best_we = we_sum
-        return best_lee, best_we
-
-    def min_sq_dist_real_numba(points: np.ndarray) -> float:
-        return float(_min_sq_dist_real_jit(np.ascontiguousarray(points, dtype=np.float64)))
-
-    def cyclic_min_weights_numba(g, k, n, p, lee_table, we_table):
-        lee, we = _cyclic_min_weights_jit(
-            np.ascontiguousarray(g, dtype=np.int64),
-            np.int64(k),
-            np.int64(n),
-            np.int64(p),
-            np.ascontiguousarray(lee_table, dtype=np.int64),
-            np.ascontiguousarray(we_table, dtype=np.int64),
-        )
-        return int(lee), int(we)
-
-else:  # pragma: no cover
-    min_sq_dist_real_numba = None
-    cyclic_min_weights_numba = None
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "min_sq_dist_real": min_sq_dist_real_numpy,
-        "cyclic_min_weights": cyclic_min_weights_numpy,
-    },
-    "numba": None
-    if not HAS_NUMBA
-    else {
-        "min_sq_dist_real": min_sq_dist_real_numba,
-        "cyclic_min_weights": cyclic_min_weights_numba,
-    },
-}
-
-
-def _impl(name: str):
-    return IMPLEMENTATIONS[backend()][name]
-
-
-def min_sq_dist_real(points: np.ndarray) -> float:
-    """Minimum pairwise squared Euclidean distance over rows (>= 2 rows)."""
-    return _impl("min_sq_dist_real")(points)
-
-
-def cyclic_min_weights(g, k, n, p, lee_table, we_table) -> tuple[int, int]:
-    """Exhaustive (min Lee, min Euclid) weight over nonzero codewords of the
-    cyclic code with generator polynomial coefficients ``g`` (ascending)."""
-    return _impl("cyclic_min_weights")(g, k, n, p, lee_table, we_table)

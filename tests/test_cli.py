@@ -139,6 +139,17 @@ def test_build_bare_bch(capsys):
     assert "BCH[4,2]" in out and "floor 4" in out
 
 
+def test_build_concatenated_over_prime_field(capsys):
+    # inner dimension k = 1, so the outer RS code lives over GF(5^1)
+    code, out, _ = run_cli(
+        capsys, "build", "--inner", "bch", "--p", "5", "--t", "3", "--outer", "rs",
+        "--n-out", "4", "--k-out", "2",
+    )
+    assert code == 0
+    assert "RS[4,2] over GF(5^1) . BCH[4,1]: n=16 |C|=5^2" in out
+    assert "guaranteed floor 18; measured min distance 30 (exhaustive)" in out
+
+
 def test_build_usage_error(capsys):
     code, _, err = run_cli(capsys, "build", "--gilbert", "--q", "3")
     assert code == 2
@@ -244,6 +255,26 @@ def test_region_demo_window_fails_off_its_pinned_numbers(
     code, out, _ = run_cli(capsys, "verify", "--only", "region_demo")
     assert code == 1
     assert "[FAIL] region_demo_window" in out
+
+
+def test_gilbert_criterion_checks_the_largest_set(capsys, monkeypatch):
+    # the (5, 6, 1) set holds all 15625 words; a repeated word keeps its size
+    # at the bound but puts two words at distance 0
+    from spherecodes import codes
+
+    greedy = codes.greedy_gilbert
+
+    def tampered(q, n, d):
+        words = greedy(q, n, d)
+        if (q, n, d) == (5, 6, 1):
+            words[-1] = words[0]
+        return words
+
+    monkeypatch.setattr(codes, "greedy_gilbert", tampered)
+    code, out, _ = run_cli(capsys, "verify", "--only", "gilbert")
+    assert code == 1
+    assert "[FAIL] gilbert" in out
+    assert "q=5 n=6 d=1: min distance below d" in out
 
 
 def test_verify_unknown_key(capsys):

@@ -132,9 +132,9 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
     g = np.asarray(code.g, dtype=np.int64)
     lee = euclid.constellation(7).lee_table
     with pytest.raises(ValueError, match="table"):
-        kernels.cyclic_min_weights_numpy(g, code.k, code.n, 7, np.arange(7), lee)
+        kernels.cyclic_min_weights(g, code.k, code.n, 7, np.arange(7), lee)
     with pytest.raises(ValueError, match="odd"):
-        kernels.cyclic_min_weights_numpy(g, code.k, code.n, 8, lee, lee)
+        kernels.cyclic_min_weights(g, code.k, code.n, 8, lee, lee)
 
 
 # exact minima of the codes past the brute-force family, from the chunked

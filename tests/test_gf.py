@@ -49,6 +49,20 @@ def test_irreducible_search():
     assert not gf.is_irreducible([-2 % 7, 0, 1], 7)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_degree_one_modulus_is_irreducible(p):
+    # z is reduced mod a degree-1 modulus before the Rabin test compares with it
+    assert gf.find_irreducible(p, 1) == (0, 1)
+    assert all(gf.is_irreducible([c, 1], p) for c in range(p))
+
+
+def test_prime_field_is_arithmetic_mod_p():
+    F = gf.ExtField(5, 1)
+    a, b = np.meshgrid(np.arange(5), np.arange(5))
+    assert np.array_equal(F.add(a, b), (a + b) % 5)
+    assert np.array_equal(F.mul(a, b), (a * b) % 5)
+
+
 @pytest.mark.parametrize("p,k", [(7, 2), (7, 4), (5, 3), (11, 2), (3, 5)])
 def test_field_axioms(p, k):
     F = gf.ExtField(p, k)

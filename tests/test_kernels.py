@@ -2,52 +2,37 @@ import numpy as np
 import pytest
 
 from spherecodes import kernels
-from spherecodes.euclid import constellation
-
-pytestmark = pytest.mark.skipif(
-    not kernels.HAS_NUMBA, reason="backend comparison needs numba installed"
-)
 
 
-def _both(name):
-    return kernels.IMPLEMENTATIONS["numba"][name], kernels.IMPLEMENTATIONS["numpy"][name]
+def _min_sq_dist_oracle(points):
+    # every pair of rows, summed coordinate by coordinate in plain Python
+    best = float("inf")
+    for i, u in enumerate(points):
+        for v in points[i + 1 :]:
+            best = min(best, sum((a - b) ** 2 for a, b in zip(u, v)))
+    return best
 
 
-def test_backend_env_flag(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_FLAG, raising=False)
-    assert kernels.backend() == "numba"
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
+def test_backend_name():
     assert kernels.backend() == "numpy"
 
 
-def test_min_sq_dist_real_paths_agree():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(300, 7))
-    jit, plain = _both("min_sq_dist_real")
-    assert jit(pts) == pytest.approx(plain(pts), rel=1e-15)
-    # order independence of the scan
-    perm = rng.permutation(300)
-    assert jit(pts[perm]) == pytest.approx(jit(pts), rel=1e-15)
-
-
-def test_cyclic_min_weights_paths_agree():
-    from spherecodes.codes import lee_bch
-
-    for p, t in [(5, 2), (7, 2), (7, 1)]:
-        code = lee_bch(p, t)
-        c = constellation(p)
-        jit, plain = _both("cyclic_min_weights")
-        g = np.asarray(code.g, dtype=np.int64)
-        assert jit(g, code.k, code.n, p, c.lee_table, c.euclid_table) == plain(
-            g, code.k, code.n, p, c.lee_table, c.euclid_table
-        )
-
-
-def test_dispatch_follows_env(monkeypatch):
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(50, 3))
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    v_plain = kernels.min_sq_dist_real(pts)
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    v_jit = kernels.min_sq_dist_real(pts)
-    assert v_plain == pytest.approx(v_jit, rel=1e-15)
+# tiles of 1 and 3 rows cross block boundaries; 10**6 scans in one block
+@pytest.mark.parametrize("m", [2, 3, 60, 300])
+@pytest.mark.parametrize("dim", [1, 7, 49])
+def test_min_sq_dist_real_matches_double_loop(monkeypatch, m, dim):
+    rng = np.random.default_rng(m * dim)
+    pts = rng.normal(size=(m, dim))
+    ints = rng.integers(-5, 6, size=(m, dim)).astype(np.float64)
+    perm = rng.permutation(m)
+    expect = _min_sq_dist_oracle(pts.tolist())
+    expect_int = _min_sq_dist_oracle(ints.tolist())
+    for rows in (1, 3, 10**6):
+        monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: rows)
+        assert kernels.min_sq_dist_real(pts) == pytest.approx(expect, rel=1e-12)
+        assert kernels.min_sq_dist_real(pts[perm]) == pytest.approx(expect, rel=1e-12)
+        # integer-valued coordinates make every sum exact
+        assert kernels.min_sq_dist_real(ints) == expect_int
+        assert kernels.min_sq_dist_real(ints[perm]) == expect_int
+        dup = np.vstack([pts, pts[m // 2]])  # a duplicate row: distance 0
+        assert kernels.min_sq_dist_real(dup) == 0.0
