@@ -224,6 +224,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (0 and negative values exit with code 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _is_negative_number(word: str) -> bool:
     try:
         float(word)
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--outer", choices=("rs", "none"), default="none")
     pc.add_argument("--n-out", type=int, default=None)
     pc.add_argument("--k-out", type=int, default=None)
-    pc.add_argument("--sample-pairs", type=int, default=100_000)
+    pc.add_argument("--sample-pairs", type=positive_int, default=100_000)
     _add_common(pc)
     pc.set_defaults(fn=_cmd_build)
 

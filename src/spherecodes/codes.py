@@ -190,7 +190,21 @@ class ConcatenatedCode:
         return self.encode(msgs)
 
     def sampled_min_distance(self, pairs: int, seed: int = 0) -> int:
-        """Minimum difference weight over ``pairs`` random distinct codeword pairs."""
+        """Minimum difference weight over ``pairs`` random distinct codeword pairs.
+
+        The code is GF(p)-linear, so d(c(a), c(b)) = wt(c(a - b)): each pair
+        costs one encode, of the digit difference of its two messages by the
+        GF(p) generator, reduced mod p after the product.  The digit
+        differences lie in [-(p-1), p-1], so the product runs on BLAS in
+        float64 and is exact: every partial sum is an integer of absolute
+        value at most k_total (p-1)^2, which must stay below 2^53.
+        """
+        if pairs < 1:
+            raise ValueError(f"pairs must be >= 1, got {pairs}")
+        if self.k_total * (self.p - 1) ** 2 >= 2**53:
+            raise ValueError(
+                "k_total * (p-1)^2 must stay below 2^53 for an exact float64 encode"
+            )
         rng = np.random.default_rng(seed)
         q_sym = self.outer.fld.Q
         a = rng.integers(0, q_sym, size=(pairs, self.outer.k_out))
@@ -199,14 +213,16 @@ class ConcatenatedCode:
         while np.any(same):
             b[same] = rng.integers(0, q_sym, size=(int(same.sum()), self.outer.k_out))
             same = np.all(a == b, axis=1)
+        # digits in the order encode_p_message reads them
+        digits = self.outer.fld.to_digits(np.arange(q_sym)).astype(np.float64)
+        gen = self.generator_matrix().astype(np.float64)
         table = constellation(self.p).euclid_table
         best = np.iinfo(np.int64).max
         chunk = 1 << 14
         for i0 in range(0, pairs, chunk):
-            wa = self.encode(a[i0 : i0 + chunk])
-            wb = self.encode(b[i0 : i0 + chunk])
-            dist = table[(wa - wb) % self.p].sum(axis=1)
-            best = min(best, int(dist.min()))
+            diff = digits[a[i0 : i0 + chunk]] - digits[b[i0 : i0 + chunk]]
+            words = (diff.reshape(diff.shape[0], self.k_total) @ gen).astype(np.int64) % self.p
+            best = min(best, int(table[words].sum(axis=1).min()))
         return best
 
 
@@ -240,8 +256,10 @@ def to_spherical(
     """Embed words, lift onto the sphere of radius sqrt(n*a), renormalize to
     the unit sphere, and measure the squared minimum distance.
 
-    With ``d_floor`` given, the measured rho is guaranteed (up to float
-    roundoff) to be at least d_floor / (n*a).
+    rho is the minimum over all pairs of the direct squared differences
+    sum_k (x_k - y_k)^2 of the float64 unit points (see
+    :func:`kernels.min_sq_dist_real`).  With ``d_floor`` given, it is
+    guaranteed up to that float roundoff to be at least d_floor / (n*a).
     """
     if isinstance(c, int):
         c = constellation(c)

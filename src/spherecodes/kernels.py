@@ -1,12 +1,15 @@
 """Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
 
 Each kernel has one numpy implementation: greedy selection by ball marking,
-an exact integer Gram scan for word sets, a chunked float pair scan, and a
-meet-in-the-middle codeword weight sweep.
+an exact integer Gram scan for word sets, a float pair scan that estimates
+square tiles of pairs by a BLAS Gram product and re-measures by the direct
+formula every pair that could be the minimum, and a meet-in-the-middle
+codeword weight sweep.  Both pair scans walk the same tiles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,22 +31,86 @@ def _block_rows(m: int, n: int, budget: int = 8_000_000) -> int:
     return max(1, budget // max(1, m * n))
 
 
+def _tiles(m: int, n: int, tile):
+    """The strict upper triangle of the m x m matrix of pair values, tile by tile.
+
+    Rows of length n are cut into square tiles of side isqrt(_block_rows(1, n)),
+    so that a tile of pairs, and a block of side rows times n, stays within
+    the budget.  Yields ``(rows, cols, vals)`` with ``vals = tile(rows, cols)``
+    for the row and column slices of every tile on or above the diagonal.  On
+    a diagonal tile the entries (i, j) with j <= i are not pairs and are set
+    to inf; diagonal tiles of one row hold no pair and are skipped.
+    """
+    side = math.isqrt(_block_rows(1, n))
+    for i0 in range(0, m - 1, side):
+        rows = slice(i0, min(i0 + side, m))
+        for j0 in range(i0 if side > 1 else i0 + 1, m, side):
+            cols = slice(j0, min(j0 + side, m))
+            vals = tile(rows, cols)
+            if j0 == i0:
+                vals[np.tri(*vals.shape, dtype=bool)] = np.inf
+            yield rows, cols, vals
+
+
 def min_sq_dist_real(points: np.ndarray) -> float:
-    """Minimum pairwise squared Euclidean distance over rows (>= 2 rows)."""
+    """Minimum pairwise squared Euclidean distance over rows (>= 2 rows).
+
+    The result is the minimum, over all pairs, of the direct formula
+    sum_k (u_k - v_k)^2, taken by einsum on the rows as given.  To find it,
+    each tile of pairs is first estimated on BLAS by the Gram formula
+    |u|^2 + |v|^2 - 2 u.v, and then every pair that could be the minimum is
+    measured by the direct formula.
+
+    Why the re-check finds the minimum.  With unit roundoff u = 2^-53 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3: Lemma 3.3 and the inner-product bound (3.5),
+    which hold for any summation order, fused multiply-adds included):
+
+    - Direct: each of the dim terms of D = |u - v|^2 carries one rounding
+      from the difference, one from the square and at most dim - 1 from the
+      sum, so |D^ - D| <= gamma_{dim+1} D =: e_d.
+    - Gram: the norms are n^ = |x|^2 (1 + theta_dim), and
+      |G^ - u.v| <= gamma_dim sum_k |u_k v_k| <= gamma_dim S / 2 with
+      S = |u|^2 + |v|^2.  One rounding adds the norms and one subtracts 2 G^
+      (doubling is exact), so
+      |E^ - D| <= (1 + u)(gamma_{dim+1} + gamma_dim) S + u D =: e_g.
+    - D <= 2 S and S <= 2 M, M the largest squared row norm, so
+      e_g + e_d <= (2 gamma_{dim+2} + 2 u + 2 gamma_{dim+1}) 2 M
+      <= 8 gamma_{dim+3} M, using gamma_a + gamma_b + gamma_a gamma_b
+      <= gamma_{a+b}.
+    - The code takes e = 8 gamma_{3 dim + 8} M^ with the computed M^.  The
+      extra gamma covers M <= M^ / (1 - gamma_dim), via
+      gamma_a (1 + gamma_b) <= gamma_{a+b}, and the few roundings that form
+      e and the threshold below: at least 5 u (8 M) of slack per e against
+      at most 3 roundings of quantities below 4 M + 2 e.
+
+    So |E^ - D^| <= e for every pair.  Let D* be the smallest direct value in
+    a tile and m_t its smallest estimate; then D* <= m_t + e, and the pair
+    holding D* has an estimate of at most D* + e.  If D* can lower the
+    running minimum ``best`` (D* <= best), that estimate is at most
+    min(best, m_t + e) + e, so re-measuring every pair of the tile within
+    that threshold, inside the tile loop, returns exactly the minimum of the
+    direct formula.  Rows whose squared norms overflow raise ValueError.
+    """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     m, dim = pts.shape
-    block = _block_rows(m, dim)
+    norms = np.einsum("ij,ij->i", pts, pts)
+    big = float(norms.max(initial=0.0))
+    if not math.isfinite(4.0 * big):
+        raise ValueError("squared row norms overflow: 4 max|x|^2 must be finite")
+    k = 3 * dim + 8
+    e = 8.0 * (k * 2.0**-53 / (1.0 - k * 2.0**-53)) * big
+
+    def gram(rows: slice, cols: slice) -> np.ndarray:
+        return norms[rows, None] + norms[None, cols] - 2.0 * (pts[rows] @ pts[cols].T)
+
     best = np.inf
-    for i0 in range(0, m - 1, block):
-        blk = pts[i0 : i0 + block]
-        tail = pts[i0 + 1 :]
-        d = blk[:, None, :] - tail[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", d, d)
-        rows = np.arange(blk.shape[0])[:, None]
-        cols = np.arange(tail.shape[0])[None, :] + i0 + 1
-        valid = cols > rows + i0
-        if valid.any():
-            best = min(best, float(sq[valid].min()))
+    for rows, cols, est in _tiles(m, dim, gram):
+        low = float(est.min())
+        if low <= best + e:  # else no pair of the tile is within the threshold
+            i, j = np.nonzero(est <= min(best, low + e) + e)
+            d = pts[rows][i] - pts[cols][j]
+            best = min(best, float(np.einsum("ij,ij->i", d, d).min()))
     return best
 
 
@@ -139,9 +206,9 @@ def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
     U @ (U @ blockdiag(C)).T for the one-hot (m, n*q) matrix U of the words.
     The products run on BLAS in float64 and are exact, because every partial
     sum is an integer of at most n * max|table| < 2^53.  The minimum is taken
-    over the strict upper triangle, one square tile of pairs at a time, each
-    within the _block_rows budget.  This is a pairwise enumeration that shares
-    no code with greedy selection.
+    over the strict upper triangle, one square tile of pairs at a time (the
+    tiles of :func:`min_sq_dist_real`).  This is a pairwise enumeration that
+    shares no code with greedy selection.
     """
     w = np.asarray(words, dtype=np.int64)
     tab = np.asarray(table, dtype=np.int64)
@@ -151,19 +218,19 @@ def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
     residues = np.arange(q)
     cost = tab[(residues[:, None] - residues[None, :]) % q].astype(np.float64)
     columns = q * np.arange(n)
-    side = math.isqrt(_block_rows(1, n))
-    best = np.inf
-    for i0 in range(0, m - 1, side):
+
+    @functools.lru_cache(maxsize=1)  # one row block serves a row of tiles
+    def left(start: int, stop: int) -> np.ndarray:
         # row i of U @ blockdiag(C) holds C[u_ij, b] at column j*q + b
-        left = cost[w[i0 : i0 + side]].reshape(-1, n * q)
-        for j0 in range(i0, m, side):
-            tail = w[j0 : j0 + side]
-            onehot = np.zeros((tail.shape[0], n * q))
-            onehot[np.arange(tail.shape[0])[:, None], tail + columns] = 1.0
-            dist = left @ onehot.T
-            if j0 == i0:
-                dist[np.tri(*dist.shape, dtype=bool)] = np.inf  # pairs (i, j) with j <= i
-            best = min(best, dist.min())
+        return cost[w[start:stop]].reshape(-1, n * q)
+
+    def dist(rows: slice, cols: slice) -> np.ndarray:
+        tail = w[cols]
+        onehot = np.zeros((tail.shape[0], n * q))
+        onehot[np.arange(tail.shape[0])[:, None], tail + columns] = 1.0
+        return left(rows.start, rows.stop) @ onehot.T
+
+    best = min((vals.min() for _, _, vals in _tiles(m, n, dist)), default=np.inf)
     return int(best) if m >= 2 else int(np.iinfo(np.int64).max)
 
 

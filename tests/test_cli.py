@@ -150,6 +150,23 @@ def test_build_concatenated_over_prime_field(capsys):
     assert "guaranteed floor 18; measured min distance 30 (exhaustive)" in out
 
 
+README_CONCAT = "build --inner bch --p 7 --t 2 --outer rs --n-out 8 --k-out 4".split()
+
+
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+def test_build_sample_pairs_must_be_positive(capsys, pairs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*README_CONCAT, "--sample-pairs", pairs])
+    assert exc.value.code == 2
+    assert "--sample-pairs: must be >= 1" in capsys.readouterr().err
+
+
+def test_build_samples_a_single_pair(capsys):
+    code, out, _ = run_cli(capsys, *README_CONCAT, "--sample-pairs", "1")
+    assert code == 0
+    assert "guaranteed floor 20; measured min distance 213 (sampled (1 pairs))" in out
+
+
 def test_build_usage_error(capsys):
     code, _, err = run_cli(capsys, "build", "--gilbert", "--q", "3")
     assert code == 2

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecodes import codes, counting, euclid, gf, kernels
 
@@ -238,6 +241,77 @@ def test_concat_generator_has_full_rank(concat_74):
 
 def test_concat_sampled_distance(concat_74):
     assert concat_74.sampled_min_distance(20_000, seed=0) >= 20
+
+
+def _two_encode_min(cc, pairs, seed):
+    # the same draws as sampled_min_distance, each pair encoded twice
+    rng = np.random.default_rng(seed)
+    q_sym, k_out = cc.outer.fld.Q, cc.outer.k_out
+    a = rng.integers(0, q_sym, size=(pairs, k_out))
+    b = rng.integers(0, q_sym, size=(pairs, k_out))
+    same = np.all(a == b, axis=1)
+    while np.any(same):
+        b[same] = rng.integers(0, q_sym, size=(int(same.sum()), k_out))
+        same = np.all(a == b, axis=1)
+    table = euclid.constellation(cc.p).euclid_table
+    return int(table[(cc.encode(a) - cc.encode(b)) % cc.p].sum(axis=1).min())
+
+
+def _small_concat(p, t, n_out, k_out):
+    inner = codes.lee_bch(p, t)
+    return codes.concatenate(gf.RSCode(gf.ExtField(p, inner.k), n_out, k_out), inner)
+
+
+# RS[3,2] over GF(5^2) . BCH[4,2] and RS[4,2] over GF(5) . BCH[4,1]
+SMALL_CONCATS = [(5, 2, 3, 2), (5, 3, 4, 2)]
+
+
+@functools.cache
+def _exhaustive_min(params):
+    cc = _small_concat(*params)
+    words = cc.encode_p_message(kernels._digits_chunk(0, cc.size, cc.p, cc.k_total))
+    return euclid.min_sq_distance(words, euclid.constellation(cc.p))
+
+
+def test_sampled_distance_matches_two_encode_oracle(concat_74):
+    # the README code: 89 is the minimum that verify prints at seed 0
+    assert concat_74.sampled_min_distance(100_000, seed=0) == 89
+    assert _two_encode_min(concat_74, 100_000, 0) == 89
+    for seed in range(6):
+        assert concat_74.sampled_min_distance(25_000, seed=seed) == _two_encode_min(
+            concat_74, 25_000, seed
+        )
+
+
+@pytest.mark.parametrize("params", SMALL_CONCATS)
+@pytest.mark.parametrize("pairs", [1, 7, 3000, 40_000])
+def test_sampled_distance_matches_two_encode_oracle_small(params, pairs):
+    cc = _small_concat(*params)
+    for seed in range(3):
+        assert cc.sampled_min_distance(pairs, seed=seed) == _two_encode_min(cc, pairs, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.sampled_from(SMALL_CONCATS),
+    pairs=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_distance_never_below_exhaustive(params, pairs, seed):
+    cc = _small_concat(*params)
+    assert cc.sampled_min_distance(pairs, seed=seed) >= _exhaustive_min(params)
+
+
+def test_sampled_distance_rejects_bad_arguments(concat_74, monkeypatch):
+    for pairs in (0, -5):
+        with pytest.raises(ValueError, match="pairs"):
+            concat_74.sampled_min_distance(pairs)
+    # (p-1)^2 = 36: with k_total above 2^53 / 36 a partial sum can leave the
+    # range where float64 holds every integer
+    big = property(lambda self: 2**53 // 36 + 1)
+    monkeypatch.setattr(codes.ConcatenatedCode, "k_total", big)
+    with pytest.raises(ValueError, match="2\\^53"):
+        concat_74.sampled_min_distance(10)
 
 
 def test_concat_identity_outer_keeps_inner_floor():

@@ -17,7 +17,11 @@ def test_backend_name():
     assert kernels.backend() == "numpy"
 
 
-# tiles of 1 and 3 rows cross block boundaries; 10**6 scans in one block
+# budgets 1 and 9 give tiles of side 1 and 3, so the scan crosses tile
+# boundaries on and off the diagonal; 10**6 gives tiles of side 1000
+BUDGETS = (1, 9, 10**6)
+
+
 @pytest.mark.parametrize("m", [2, 3, 60, 300])
 @pytest.mark.parametrize("dim", [1, 7, 49])
 def test_min_sq_dist_real_matches_double_loop(monkeypatch, m, dim):
@@ -27,8 +31,8 @@ def test_min_sq_dist_real_matches_double_loop(monkeypatch, m, dim):
     perm = rng.permutation(m)
     expect = _min_sq_dist_oracle(pts.tolist())
     expect_int = _min_sq_dist_oracle(ints.tolist())
-    for rows in (1, 3, 10**6):
-        monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: rows)
+    for budget in BUDGETS:
+        monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: budget)
         assert kernels.min_sq_dist_real(pts) == pytest.approx(expect, rel=1e-12)
         assert kernels.min_sq_dist_real(pts[perm]) == pytest.approx(expect, rel=1e-12)
         # integer-valued coordinates make every sum exact
@@ -36,3 +40,76 @@ def test_min_sq_dist_real_matches_double_loop(monkeypatch, m, dim):
         assert kernels.min_sq_dist_real(ints[perm]) == expect_int
         dup = np.vstack([pts, pts[m // 2]])  # a duplicate row: distance 0
         assert kernels.min_sq_dist_real(dup) == 0.0
+
+
+# Exact cases.  With at most two coordinates every order of summation rounds
+# alike, so the kernel must return the oracle's float bit for bit.
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_min_sq_dist_real_separates_one_ulp(monkeypatch, budget):
+    # squared distances 2^52 + 1 and 2^52, one ulp apart and both exact; the
+    # Gram estimate of the far pair reads 2^52 + 32768, above the near pair's
+    monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: budget)
+    x, y = 5159732053, 8101926413
+    pts = np.array([[0, 0], [2**26, 1], [x, y], [x + 2**26, y]], dtype=np.float64)
+    assert kernels.min_sq_dist_real(pts[:2]) == 2.0**52 + 1
+    for order in ([0, 1, 2, 3], [2, 3, 0, 1], [3, 0, 2, 1]):
+        assert kernels.min_sq_dist_real(pts[order]) == 2.0**52
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_min_sq_dist_real_exact_under_cancellation(monkeypatch, budget, dim):
+    # |u|^2 is about 1e12 and |u - v|^2 about 1e-6: the Gram estimate keeps
+    # no correct digit, so every pair is re-measured
+    monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: budget)
+    rng = np.random.default_rng(dim)
+    pts = 1e6 + 1e-3 * rng.normal(size=(80, dim))
+    assert kernels.min_sq_dist_real(pts) == _min_sq_dist_oracle(pts.tolist())
+
+
+def _direct_min(points):
+    # the direct formula on every pair at once, summed as the kernel sums
+    i, j = np.triu_indices(len(points), 1)
+    d = points[i] - points[j]
+    return float(np.einsum("ij,ij->i", d, d).min())
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_sq_dist_real_exact_for_near_coincident_points(monkeypatch, budget, seed):
+    # 30 points within about 1e-7 of a common point of R^1000: the Gram
+    # estimates err by more than the distances differ, and a slack of
+    # 8 u max|x|^2 in place of the derived bound misses the minimum here
+    monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: budget)
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=1000) + 3e-9 * rng.normal(size=(30, 1000))
+    got = kernels.min_sq_dist_real(pts)
+    assert got == _direct_min(pts)
+    assert got == pytest.approx(_min_sq_dist_oracle(pts.tolist()), rel=1e-12)
+
+
+def test_min_sq_dist_real_candidates_stay_within_a_tile(monkeypatch):
+    # 500 equal rows: every pair is a candidate.  Re-measured one tile of
+    # side 100 at a time, the scan holds a few arrays of 100^2 x dim floats,
+    # where all 125,250 pairs at once would take 64 MB.
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: 100**2)
+    dim = 64
+    rng = np.random.default_rng(0)
+    pts = np.vstack([np.repeat(rng.normal(size=(1, dim)), 500, axis=0), np.full((1, dim), 9.0)])
+    tracemalloc.start()
+    try:
+        assert kernels.min_sq_dist_real(pts) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 100**2 * dim * 8
+    assert kernels.min_sq_dist_real(pts[-2:]) == _min_sq_dist_oracle(pts[-2:].tolist())
+
+
+def test_min_sq_dist_real_rejects_overflowing_norms():
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.min_sq_dist_real(np.array([[1e160, 0.0], [1e160, 1.0]]))
