@@ -153,10 +153,8 @@ def _cmd_build(args) -> int:
         if isinstance(code, codes.ConcatenatedCode):
             n_total, k_total, floor = code.n, code.k_total, code.metric_floor
             if size <= codes.EXHAUSTIVE_GUARD:
-                from . import euclid
-
                 words = code.encode_p_message(_all_messages(size, code.p, k_total))
-                measured = euclid.min_sq_distance(words, euclid.constellation(code.p))
+                measured = codes.linear_min_distance(words, code.p)
                 mode = "exhaustive"
             else:
                 measured = code.sampled_min_distance(args.sample_pairs, seed=args.seed)

@@ -1,10 +1,12 @@
 """Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
 
 Each kernel has one numpy implementation: greedy selection by ball marking,
-an exact integer Gram scan for word sets, a float pair scan that estimates
-square tiles of pairs by a BLAS Gram product and re-measures by the direct
-formula every pair that could be the minimum, and a meet-in-the-middle
-codeword weight sweep.  Both pair scans walk the same tiles.
+batched by rows of the word mask (one scatter and one argmax per kept word,
+one block assignment per row and ball weight), an exact integer Gram scan for
+word sets, a float pair scan that estimates square tiles of pairs by a BLAS
+Gram product and re-measures by the direct formula every pair that could be
+the minimum, and a meet-in-the-middle codeword weight sweep.  Both pair scans
+walk the same tiles.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
     """The offsets of weight <= radius in Z_q^m, sorted by weight.
 
     Returns their weights and a map from a word index w of Z_q^m to the
-    indices of the translates (w + offset) mod q, in the same order.
+    indices of the translates (w + offset) mod q, in the same order.  With
+    table[0] == 0 the zero offset comes first.
     """
     total = q**m
     rows = max(1, SWEEP_BUDGET // max(m, 1))
@@ -147,10 +150,9 @@ def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
     order = np.argsort(wt, kind="stable")
     offs_t = offs[order].T.copy()
     place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    fold = np.arange(2 * q - 1) % q  # reduces a digit sum, which is below 2q - 1
 
     def translate(w: int) -> np.ndarray:
-        return place @ fold[(w // place % q)[:, None] + offs_t]
+        return place @ (((w // place % q)[:, None] + offs_t) % q)
 
     return wt[order], translate
 
@@ -158,44 +160,81 @@ def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     """Greedy lexicographic selection of words at pairwise weight >= d.
 
+    ``table`` holds the non-negative weight of each residue, table[0] == 0.
     Computed as a lexicode by ball marking (Conway & Sloane, "Lexicographic
     codes", IEEE Trans. IT 1986).  The difference weight is translation
     invariant, so a word is rejected exactly when it lies in (w + B) mod q for
     some kept word w, B being the offsets of weight <= d-1.  Each kept word
     clears its translate of B in a mask of free word indices, and the next
-    word kept is the first free index; Python loops over the kept words only.
+    word kept is the first free one.
 
-    A word index splits into a high part (the first n - n//2 digits) and a low
-    part, and the mask is viewed as a q^(n - n//2) x q^(n//2) matrix.  B is
-    the union, over each weight u of a high-half offset, of the high offsets of
-    weight u times the low offsets of weight <= d-1-u, so a translate is
-    cleared as one rows x columns block per weight u.  Only the two half balls
-    are held in memory, never B or the q^n x n digits of the word space.
+    A word index splits into a high part h (the first n - n//2 digits) and a
+    low part l, and the mask is a q^(n - n//2) x q^(n//2) matrix with one row
+    per h.  The translate (w + B) mod q meets the row of w only through the
+    zero high offset; every other high offset, weight 0 included, moves it to
+    another row.  Kept words come in increasing order, so their rows never
+    decrease, and the mask is marked one row at a time:
+
+    - inside row h, a kept low part l clears its translate by the low offsets
+      of weight <= d-1, and the next candidate is the first free index after
+      l: one scatter and one argmax per kept word;
+    - when row h has no free index left, the translates of all its kept words
+      are cleared from every other row at once, one rows x columns block per
+      weight u of the nonzero high offsets, with the low offsets of weight
+      <= d-1-u as columns.
+
+    The result is the one per-word marking gives.  When row h is scanned,
+    every kept word of an earlier row has cleared its whole translate, and
+    what a word of row h clears in row h itself is cleared as it is kept;
+    what it clears elsewhere lies in rows already scanned, where it changes
+    nothing because the kept words are recorded as they are chosen, not read
+    back from the mask, or in later rows, which are cleared before they are
+    scanned.
+
+    Memory: the mask (q^n bytes), the two half balls, the low translates of
+    the distinct kept low parts (8 |B_lo| bytes each, B_lo the low offsets of
+    weight <= d-1, computed once each), the stacked translates of one row and
+    the K x n digits of the result.  Neither B nor a table of translates over
+    the word space is held.
     """
     total = q**n
-    if d <= 1:
+    if d <= table[1:].min():  # every two distinct words are at weight >= d
         return _digits_chunk(0, total, q, n)
     n_lo = n // 2
     size_lo = q**n_lo
     hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, table)
     lo_wt, lo_translate = _half_ball(q, n_lo, d - 1, table)
-    weights, starts = np.unique(hi_wt, return_index=True)
+    # the zero high offset comes first and keeps a translate in its row; every
+    # other one, weight 0 included, moves it to another row
+    weights, starts = np.unique(hi_wt[1:], return_index=True)
+    starts += 1
     ends = np.append(starts[1:], hi_wt.size)
     widths = np.searchsorted(lo_wt, d - 1 - weights, side="right")
     blocks = list(zip(starts.tolist(), ends.tolist(), widths.tolist()))
+    lo_cache: dict[int, np.ndarray] = {}
     free = np.ones((total // size_lo, size_lo), dtype=bool)
-    flat = free.reshape(-1)
     kept = []
-    w = 0  # the zero word comes first in lex order and is always kept
-    while True:
-        kept.append(w)
-        rows = hi_translate(w // size_lo)
-        cols = lo_translate(w % size_lo)
+    for h in range(free.shape[0]):
+        row = free[h]
+        l = int(row.argmax())
+        if not row[l]:
+            continue
+        row_kept = []
+        while True:
+            row_kept.append(l)
+            tr = lo_cache.get(l)
+            if tr is None:
+                tr = lo_cache[l] = lo_translate(l)
+            row[tr] = False
+            l += int(row[l:].argmax())  # l itself was just cleared
+            if not row[l]:
+                break
+        kept.append(h * size_lo + np.array(row_kept))
+        rows = hi_translate(h)
+        cols = np.concatenate([lo_cache[l] for l in row_kept]).reshape(len(row_kept), -1)
         for a, b, width in blocks:
-            free[rows[a:b, None], cols[None, :width]] = False
-        w += int(flat[w:].argmax())  # w itself was just cleared
-        if not flat[w]:
-            return _digits(np.array(kept), q, n)
+            free[rows[a:b, None], cols[:, :width].reshape(1, -1)] = False
+    return _digits(np.concatenate(kept), q, n)
 
 
 def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,11 +52,13 @@ def _greedy_oracle(q, n, d, table):
 
 
 # odd and even q, d = 1, d above n * a_int (one word kept), n = 1 (no low
-# half), odd n (unequal halves)
+# half), odd n (unequal halves); n = 2 and the odd-n cases at d = 2 keep
+# several words per row of the mask
 @pytest.mark.parametrize(
     "q,n,d",
     [(2, 3, 1), (2, 5, 2), (3, 4, 3), (3, 3, 4), (4, 3, 4), (4, 3, 13), (5, 3, 6),
-     (5, 4, 2), (6, 2, 5), (7, 1, 5), (3, 5, 5)],
+     (5, 4, 2), (6, 2, 5), (7, 1, 5), (3, 5, 5), (5, 2, 2), (7, 2, 2), (3, 5, 2),
+     (4, 5, 2), (5, 3, 2)],
 )
 def test_greedy_matches_pairwise_oracle(q, n, d):
     c = euclid.constellation(q)
@@ -71,6 +74,51 @@ def test_greedy_kernel_orients_differences_like_the_oracle():
     table = np.array([0, 1, 4, 2, 3])
     words = kernels.greedy_lex(5, 3, 4, table)
     assert words.tolist() == _greedy_oracle(5, 3, 4, table.tolist())
+
+
+# tables with table[r] == 0 for some r != 0: nonzero offsets of weight 0
+# move a translate to another row of the mask, and at d = 1 words at weight 0
+# from a kept word are still rejected; with d at most the smallest nonzero
+# weight every word is kept
+@pytest.mark.parametrize(
+    "q,n,d,table",
+    [(4, 3, 2, [0, 0, 1, 1]), (4, 4, 2, [0, 0, 1, 1]), (4, 5, 3, [0, 0, 1, 1]),
+     (4, 4, 1, [0, 0, 1, 1]), (3, 4, 2, [0, 0, 1]), (5, 3, 4, [0, 2, 0, 3, 1]),
+     (4, 3, 3, [0, 3, 5, 3])],
+)
+def test_greedy_kernel_matches_pairwise_oracle_on_other_tables(q, n, d, table):
+    words = kernels.greedy_lex(q, n, d, np.array(table))
+    assert words.tolist() == _greedy_oracle(q, n, d, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.integers(2, 5),
+    n=st.integers(1, 4),
+    d=st.integers(1, 8),
+    data=st.data(),
+)
+def test_greedy_kernel_matches_pairwise_oracle_property(q, n, d, data):
+    # random non-negative tables with table[0] == 0, asymmetric ones included
+    rest = data.draw(st.lists(st.integers(0, 6), min_size=q - 1, max_size=q - 1))
+    table = [0, *rest]
+    words = kernels.greedy_lex(q, n, d, np.array(table))
+    assert words.tolist() == _greedy_oracle(q, n, d, table)
+
+
+@pytest.mark.parametrize("q,n,d", [(3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2)])
+def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
+    # the mask takes q^n bytes and the result K x n int64 digits; a table of
+    # the whole ball or of translates over the word space would not fit
+    table = euclid.constellation(q).euclid_table
+    kernels.greedy_lex(q, 2, d, table)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        words = kernels.greedy_lex(q, n, d, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * q**n + 16 * words.shape[0] * n
 
 
 def test_greedy_scale_guard():
@@ -300,6 +348,39 @@ def test_sampled_distance_matches_two_encode_oracle_small(params, pairs):
 def test_sampled_distance_never_below_exhaustive(params, pairs, seed):
     cc = _small_concat(*params)
     assert cc.sampled_min_distance(pairs, seed=seed) >= _exhaustive_min(params)
+
+
+@pytest.mark.parametrize("params", [None, (5, 3, 4, 2)])
+def test_symbol_weights_are_inner_codeword_weights(concat_74, params):
+    # GF(7^4) for the README code, GF(5^1) for RS[4,2] . BCH[4,1]
+    cc = concat_74 if params is None else _small_concat(*params)
+    fld, table = cc.outer.fld, euclid.constellation(cc.p).euclid_table.tolist()
+    weights = cc.symbol_weights()
+    assert weights.shape == (fld.Q,)
+    for s in range(fld.Q):
+        word = cc.inner.encode(fld.to_digits(s)[None, :])[0]
+        assert weights[s] == sum(table[c] for c in word.tolist())
+    assert weights[0] == 0
+    assert weights[1:].min() >= cc.inner.metric_floor
+
+
+# the two small codes above plus RS[4,2] over GF(7^2) . BCH[6,2] (2401 words)
+@pytest.mark.parametrize("params", [*SMALL_CONCATS, (7, 4, 4, 2)])
+def test_linear_min_distance_matches_pairwise_scan(params):
+    cc = _small_concat(*params)
+    words = cc.encode_p_message(kernels._digits_chunk(0, cc.size, cc.p, cc.k_total))
+    expect = euclid.min_sq_distance(words, euclid.constellation(cc.p))
+    assert codes.linear_min_distance(words, cc.p) == expect
+    # the zero codeword need not come first
+    perm = np.random.default_rng(1).permutation(cc.size)
+    assert perm[0] != 0
+    assert codes.linear_min_distance(words[perm], cc.p) == expect
+    assert codes.linear_min_distance(words[::-1], cc.p) == expect
+
+
+def test_linear_min_distance_rejects_the_zero_code():
+    with pytest.raises(ValueError, match="nonzero"):
+        codes.linear_min_distance(np.zeros((3, 4), dtype=np.int64), 5)
 
 
 def test_sampled_distance_rejects_bad_arguments(concat_74, monkeypatch):
