@@ -22,10 +22,12 @@ from .gf import ExtField, RSCode, is_probable_prime
 GREEDY_GUARD = 10**7
 #: codebook size above which distance verification is sampled
 EXHAUSTIVE_GUARD = 10**5
-#: codeword count above which LeeBCH.min_weights refuses to sweep: the numpy
-#: sweep ran 2.2e8 (p=13, t=4) to 4.7e8 (p=11, t=2) codewords/s on 2 cores,
-#: so a sweep below the guard ends within about 10 s
-SWEEP_GUARD = 2 * 10**9
+#: sweep work (kernels.sweep_work: half codewords swept plus class pairs read)
+#: above which LeeBCH.min_weights refuses to sweep.  On 2 cores the slowest
+#: codes below it, (13, 4) (4.1e8, nearly all class pairs) and (17, 3) (2.5e8,
+#: mostly half codewords), took 2-3.3 s, at 8e7 to 2e8 units of work per
+#: second, so a sweep below the guard ends within about 6 s; (17, 2) is above
+SWEEP_GUARD = 5 * 10**8
 
 
 def primality_check(n: int, rounds: int = 64, seed: int = 0) -> bool:
@@ -93,12 +95,18 @@ class LeeBCH:
     def min_weights(self) -> tuple[int, int]:
         """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords.
 
-        Raises ValueError above SWEEP_GUARD codewords.
+        Raises ValueError, before sweeping, when the sweep's work (the half
+        codewords it sweeps plus the overlap-class pairs it reads, see
+        :func:`kernels.sweep_work`) exceeds SWEEP_GUARD.  The work grows with
+        p^(k/2) and, once the halves' overlap classes stop colliding, with
+        p^k, so (13, 3) and (13, 2) are swept and (17, 2) is refused.
         """
-        if self.size > SWEEP_GUARD:
+        work = kernels.sweep_work(self.p, self.k, self.t)
+        if work > SWEEP_GUARD:
             raise ValueError(
-                f"{self.p}^{self.k} = {self.size} codewords exceed the sweep guard "
-                f"{SWEEP_GUARD}; reduce p or raise t"
+                f"sweeping the {self.p}^{self.k} = {self.size} codewords takes "
+                f"{work} half codewords and class pairs, above the sweep guard "
+                f"{SWEEP_GUARD}; reduce p"
             )
         c = constellation(self.p)
         return kernels.cyclic_min_weights(

@@ -24,6 +24,7 @@ defect against the continuum value (1/2) log2(2*pi*e*lambda).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,11 +64,15 @@ class WeightEnumerator:
     def coeffs(self) -> dict[int, int]:
         return dict(zip(self.weights, self.counts))
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and counts as float64 arrays, built once."""
+        return np.asarray(self.weights, dtype=np.float64), np.asarray(self.counts, dtype=np.float64)
+
     # All evaluations work in t = ln z with a max-shift so that z far above or
     # below 1 cannot overflow.
     def _shifted_terms(self, t: float) -> tuple[np.ndarray, float]:
-        w = np.asarray(self.weights, dtype=np.float64)
-        c = np.asarray(self.counts, dtype=np.float64)
+        w, c = self._arrays
         expo = w * t
         shift = float(expo.max())
         return c * np.exp(expo - shift), shift
@@ -80,13 +85,13 @@ class WeightEnumerator:
     def tilt_mean(self, t: float) -> float:
         """z f'(z)/f(z) at z = e^t: the mean weight under the z-tilt."""
         terms, _ = self._shifted_terms(t)
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = self._arrays[0]
         tot = float(terms.sum())
         return float((w * terms).sum()) / tot
 
     def tilt_var(self, t: float) -> float:
         terms, _ = self._shifted_terms(t)
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = self._arrays[0]
         tot = float(terms.sum())
         mean = float((w * terms).sum()) / tot
         return float((w * w * terms).sum()) / tot - mean * mean
@@ -164,7 +169,13 @@ _RESIDUAL_RTOL = 1e-14
 
 
 def _solve_root(f: WeightEnumerator, lam: float) -> tuple[float, float]:
-    """Positive root of z f'(z) = lam f(z), returned as (mu, relative residual)."""
+    """Positive root of z f'(z) = lam f(z), returned as (mu, relative residual).
+
+    Bisection in t = ln z takes at most _BISECT_STEPS steps and stops at the
+    first one that leaves the bracket unchanged: the next midpoint, and so
+    every later step, would be the same, so the root is the one all
+    _BISECT_STEPS steps give.  A Newton polish follows.
+    """
     t_lo = math.log(1e-30)
     t_hi = 0.0
     guard = 0
@@ -175,10 +186,10 @@ def _solve_root(f: WeightEnumerator, lam: float) -> tuple[float, float]:
             raise ConvergenceError(f"no bracket for lambda={lam!r}")
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (t_lo + t_hi)
-        if f.tilt_mean(mid) < lam:
-            t_lo = mid
-        else:
-            t_hi = mid
+        bracket = (mid, t_hi) if f.tilt_mean(mid) < lam else (t_lo, mid)
+        if bracket == (t_lo, t_hi):
+            break  # every later step would repeat this one
+        t_lo, t_hi = bracket
     t = 0.5 * (t_lo + t_hi)
     for _ in range(_NEWTON_STEPS):
         err = f.tilt_mean(t) - lam

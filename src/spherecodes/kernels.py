@@ -5,8 +5,9 @@ batched by rows of the word mask (one scatter and one argmax per kept word,
 one block assignment per row and ball weight), an exact integer Gram scan for
 word sets, a float pair scan that estimates square tiles of pairs by a BLAS
 Gram product and re-measures by the direct formula every pair that could be
-the minimum, and a meet-in-the-middle codeword weight sweep.  Both pair scans
-walk the same tiles.
+the minimum, and a meet-in-the-middle codeword weight sweep that pairs the
+overlap classes of the two message halves instead of their codewords.  Both
+pair scans walk the same tiles.
 """
 
 from __future__ import annotations
@@ -273,11 +274,112 @@ def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
     return int(best) if m >= 2 else int(np.iinfo(np.int64).max)
 
 
-def _encode_int16(start: int, count: int, p: int, rows: np.ndarray) -> np.ndarray:
-    """Codewords of messages ``start .. start+count`` (lexicographic order) over
-    the generator ``rows``, reduced mod p, as int16."""
-    msgs = _digits_chunk(start, count, p, rows.shape[0])
-    return ((msgs @ rows) % p).astype(np.int16)
+def _class_minima(gen, m, halve, own, p, tables, acc):
+    """Per class of one half's codewords and per table, the least weight of
+    the columns ``own``.
+
+    ``gen`` holds the half's generator rows, one per message digit, most
+    significant digit first, and a codeword's class is the value of its
+    message's last m digits.  The messages swept are the nonzero ones, with
+    ``halve`` only those whose first nonzero digit is at most (p-1)/2.
+    Returns the minima, shape (2, p^m), holding ``iinfo(acc).max`` for a class
+    without a swept message, and the codewords of messages 0 .. p^m - 1 (one
+    per class), shape (columns, p^m).
+
+    The messages are swept in blocks: one per value of the first k - j digits
+    (the head), each over all p^j values of the last j >= m digits (the
+    tail), with p^j as large as SWEEP_BUDGET allows.  The p^j tail codewords
+    are encoded once.  A column that no head row reaches weighs the same in
+    every block, and one that no tail row reaches is constant within a block,
+    so a block costs one read of the folded table (see
+    :func:`cyclic_min_weights`) per column that both reach, and one minimum
+    over its rows taken p^m at a time.  Memory: the p^m classes, one block
+    and the codewords of the heads, never an array over all p^deg overlap
+    values unless the classes fill it.
+    """
+    k, n = gen.shape
+    big = np.iinfo(acc).max
+    j = m
+    while j < k and p ** (j + 1) * n <= SWEEP_BUDGET:
+        j += 1
+    head, tail_rows = gen[: k - j], gen[k - j :]
+    tail = tail_rows.T @ _digits(np.arange(p**j), p, j).T
+    tail %= p
+    by_head, by_tail = head.any(axis=0), tail_rows.any(axis=0)
+    base = np.take(tables, tail[own & ~by_head], axis=1).sum(axis=1, dtype=acc)
+    top = (p + 1) // 2 if halve else p  # first nonzero digits swept are 1 .. top-1
+    head_msgs = np.concatenate([[0], *(np.arange(p**e, top * p**e) for e in range(k - j))])
+    heads = _digits(head_msgs, p, k - j) @ head % p  # zero head first
+    fixed = np.take(tables, heads[:, own & ~by_tail], axis=1).sum(axis=2, dtype=acc)
+    mixed = np.flatnonzero(own & by_head & by_tail)
+    folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
+    swept = np.zeros(p**j, dtype=bool)  # the tails swept behind the zero head
+    for e in range(j):
+        swept[p**e : top * p**e] = True
+    least = np.full((2, p**m), big, dtype=acc)
+    for i, c0 in enumerate(heads):
+        w = base + fixed[:, i, None]
+        for c in mixed:
+            w += np.take(folded, c0[c] + tail[c], axis=1)
+        if i == 0:
+            w[:, ~swept] = big
+        np.minimum(least, w.reshape(2, -1, p**m).min(axis=1), out=least)
+    return least, tail[:, : p**m]
+
+
+def _band_min_weights(gen, k_hi, deg, p, tables, acc):
+    """Least weight per table (``tables``, of dtype ``acc``) over the nonzero
+    messages of ``gen``: the meet-in-the-middle of :func:`cyclic_min_weights`
+    for any generator of the shape it needs.  The first k_hi rows vanish from
+    column k_hi + deg on, the others before column k_hi, and only the last
+    deg of the first k_hi rows and the first deg of the others reach the
+    overlap columns k_hi .. k_hi+deg-1."""
+    k, n = gen.shape
+    big = int(np.iinfo(acc).max)
+    hi_least, hi_words = _class_minima(
+        gen[:k_hi, : k_hi + deg], min(deg, k_hi), True, np.arange(k_hi + deg) < k_hi,
+        p, tables, acc,
+    )
+    # the low rows reversed, so that the low digits that reach the overlap come last
+    lo_least, lo_words = _class_minima(
+        gen[k_hi:][::-1, k_hi:], min(deg, k - k_hi), False, np.arange(n - k_hi) >= deg,
+        p, tables, acc,
+    )
+    hi_keep, lo_keep = hi_least[0] < big, lo_least[0] < big
+    hi_least, hi_dig = hi_least[:, hi_keep], hi_words[k_hi:, hi_keep].T
+    lo_least, lo_dig = lo_least[:, lo_keep], lo_words[:deg, lo_keep].T
+    # a half alone: the high halves with l = 0 and the low halves with h = 0
+    best = [big, big]
+    for least, dig in ((hi_least, hi_dig), (lo_least, lo_dig)):
+        alone = least + np.take(tables, dig, axis=1).sum(axis=2, dtype=acc)
+        best = np.minimum(best, alone.min(axis=1, initial=big)).tolist()
+    folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
+    shift = np.arange(p)[:, None]
+    lo_rows = max(1, SWEEP_BUDGET // max(1, 2 * deg * p))
+    for v0 in range(0, lo_dig.shape[0], lo_rows):
+        vd = lo_dig[v0 : v0 + lo_rows]
+        right = lo_least[:, v0 : v0 + lo_rows]
+        # reads[w, j, a] = weight w of overlap column j over the low block
+        # when the high class holds a there
+        reads = np.take(folded, shift + vd.T[:, None, :], axis=1)
+        batch = max(1, SWEEP_BUDGET // vd.shape[0])
+        for u0 in range(0, hi_dig.shape[0], batch):
+            ud = hi_dig[u0 : u0 + batch]
+            for w in range(2):
+                s = hi_least[w, u0 : u0 + batch, None] + right[w][None, :]
+                for j in range(deg):
+                    s += reads[w, j, ud[:, j]]
+                best[w] = min(best[w], int(s.min()))
+    return best[0], best[1]
+
+
+def sweep_work(p: int, k: int, deg: int) -> int:
+    """The work of :func:`cyclic_min_weights` on k message digits over GF(p)
+    and a generator of degree deg: the half codewords it sweeps plus the
+    class pairs it reads."""
+    k_hi = k - k // 2
+    n_hi, n_lo = (p**k_hi - 1) // 2, p ** (k - k_hi) - 1
+    return n_hi + n_lo + min(n_hi, p**deg) * min(n_lo, p**deg)
 
 
 def cyclic_min_weights(
@@ -285,63 +387,57 @@ def cyclic_min_weights(
 ) -> tuple[int, int]:
     """Exhaustive (min Lee, min Euclid) weight over the nonzero codewords of
     the cyclic code with generator polynomial coefficients ``g`` (ascending,
-    degree n-k), by a meet-in-the-middle sweep.
+    degree deg = n-k), by a meet-in-the-middle sweep over overlap classes.
 
-    A message splits into a high half h (its first k - k//2 digits) and a low
-    half l (its last k//2 digits), and its codeword is c(h) + c(l).  Generator
-    row i is g shifted by i, so c(h) is zero from column k - k//2 + deg on and
-    c(l) is zero before column k - k//2: only the deg columns in between hold
-    a sum a + b of two residues, unreduced, whose weight is read from a table
-    of length 2p - 1 that folds in the reduction mod p.  The p^(k//2) low-half
-    codewords are encoded once as int16, in chunks of at most SWEEP_BUDGET
-    elements per working array.  For each middle column and each value a high
-    codeword can hold there, the table reads over the low block are taken
-    once; a high codeword then costs deg row gathers and deg + 1 additions
-    over the low block, and every codeword's weight is computed exactly.
+    A message splits into a high half h (its first k_hi = k - k//2 digits) and
+    a low half l (its last k//2 digits), and its codeword is c(h) + c(l).
+    Generator row i is g shifted by i, so c(h) is zero from column k_hi + deg
+    on and c(l) is zero before column k_hi.  With u = c(h)[k_hi : k_hi+deg]
+    and v = c(l)[k_hi : k_hi+deg] the overlap values, the weight under a
+    table T is
 
-    Negation keeps both weights, so only one message of each pair (m, -m) is
-    swept: the high halves that are zero or whose first nonzero digit is at
-    most (p-1)/2.  This needs odd p and tables with table[r] == table[-r mod p],
-    which are checked.  Sums accumulate in the smallest unsigned dtype that
-    holds n * max(table).
+        W(c(h)[:k_hi]) + W(c(l)[k_hi+deg:]) + sum_j T(u_j + v_j).
+
+    Why pairing classes is exact: the last term depends on h and l only
+    through (u, v).  So among the messages whose halves have overlap values u
+    and v, the lightest under T pairs a high half of class u whose own
+    columns c(h)[:k_hi] are lightest under T with a low half of class v whose
+    own columns c(l)[k_hi+deg:] are lightest under T; the two tables may pick
+    different halves.  Only u depends on h, and only through its last
+    min(k_hi, deg) digits; only v depends on l, through its first
+    min(k//2, deg) digits.  The sweep groups each half by those digits (a
+    class; when g[0] and g[deg] are nonzero the map to u or v is
+    triangular with an invertible diagonal, so the classes are the occupied
+    overlap values), keeps per class and table the least weight of the own
+    columns (:func:`_class_minima`), and pairs classes instead of codewords.
+    When k_hi <= deg and k//2 <= deg every class holds one codeword;
+    otherwise the classes collide and there are at most p^deg of them.
+    :func:`sweep_work` counts the half codewords and class pairs.
+
+    Pairing: an overlap column holds a sum a + b of two residues, unreduced,
+    whose weight is read from a table of length 2p - 1 that folds in the
+    reduction mod p.  For each overlap column and value a of the high class,
+    the table reads over a block of low classes are taken once; a high class
+    then costs deg row gathers and deg + 1 additions over the block.  The
+    messages with l = 0 or h = 0 are the high or the low halves alone, each
+    its class minimum plus the weight of its overlap values; the zero message
+    is in neither half's classes.
+
+    Negation keeps both weights, so only one message of each pair (m, -m)
+    with h != 0 is swept: the high halves whose first nonzero digit is at
+    most (p-1)/2.  This needs odd p and tables with
+    table[r] == table[-r mod p], which are checked.  Sums accumulate in the
+    smallest unsigned dtype above n * max(table), whose largest value marks an
+    empty class.
     """
     if p % 2 == 0:
         raise ValueError(f"the sweep pairs m with -m and needs an odd p, got {p}")
     tables = np.stack([lee_table, we_table]).astype(np.int64)
     if tables.min() < 0 or not np.array_equal(tables, tables[:, -np.arange(p) % p]):
         raise ValueError("weight tables must be non-negative with table[r] == table[-r mod p]")
-    acc = np.min_scalar_type(n * int(tables.max()))
-    folded = tables[:, np.arange(2 * p - 1) % p].astype(acc)
-    tables = tables.astype(acc)
     deg = g.size - 1
     gen = np.zeros((k, n), dtype=np.int64)
     for i in range(k):
         gen[i, i : i + deg + 1] = g
-    k_hi = k - k // 2
-    mid = slice(k_hi, k_hi + deg)
-    shift = np.arange(p, dtype=np.int16)[:, None]
-    # one index range per position of the first nonzero digit, which is at most (p-1)/2
-    hi_ranges = [(0 if e == 0 else p**e, (p + 1) // 2 * p**e) for e in range(k_hi)]
-    total_lo = p ** (k // 2)
-    lo_rows = max(1, SWEEP_BUDGET // max(n, 2 * deg * p))
-    big = int(np.iinfo(acc).max)
-    best = [big, big]
-    for l0 in range(0, total_lo, lo_rows):
-        lo = _encode_int16(l0, min(lo_rows, total_lo - l0), p, gen[k_hi:])
-        lo_right = tables[:, lo[:, k_hi + deg :]].sum(axis=2, dtype=acc)
-        # reads[w, j, v] = weight w of column k_hi + j over the low block when
-        # the high codeword holds v there
-        reads = folded[:, shift + lo[:, mid].T[:, None, :]]
-        batch = max(1, SWEEP_BUDGET // max(lo.shape[0], n))
-        for a, b in hi_ranges:
-            for h0 in range(a, b, batch):
-                hi = _encode_int16(h0, min(batch, b - h0), p, gen[:k_hi])
-                hi_left = tables[:, hi[:, :k_hi]].sum(axis=2, dtype=acc)
-                for w in range(2):
-                    s = hi_left[w][:, None] + lo_right[w][None, :]
-                    for j in range(deg):
-                        s += reads[w, j, hi[:, k_hi + j]]
-                    if h0 == 0 and l0 == 0:
-                        s[0, 0] = big  # the zero codeword
-                    best[w] = min(best[w], int(s.min()))
-    return best[0], best[1]
+    acc = np.min_scalar_type(n * int(tables.max()) + 1)
+    return _band_min_weights(gen, k - k // 2, deg, p, tables.astype(acc), acc)

@@ -174,6 +174,16 @@ def test_build_usage_error(capsys):
     assert code == 2
 
 
+def test_build_sweeps_bch_past_the_codeword_count(capsys):
+    # 13^9 codewords: beyond a guard on codewords, but the overlap classes of
+    # the two message halves collide, so the sweep pairs 2197 x 2197 classes
+    code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "13", "--t", "3")
+    assert code == 0
+    assert err == ""
+    assert "BCH[12,9] over GF(13): n=12 |C|=13^9" in out
+    assert "guaranteed floor 6; measured min distance 6 (exhaustive (min lee weight 6))" in out
+
+
 def test_build_refuses_oversized_bch_sweep(capsys):
     # 17^14 codewords: refused before any sweep starts
     code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "2")

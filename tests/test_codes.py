@@ -188,12 +188,18 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
         kernels.cyclic_min_weights(g, code.k, code.n, 8, lee, lee)
 
 
-# exact minima of the codes past the brute-force family, from the chunked
-# exhaustive sweep that the meet-in-the-middle sweep replaced
+# exact minima of the codes past the brute-force family.  (11, 2) to (13, 6)
+# come from the chunked exhaustive sweep that the meet-in-the-middle sweeps
+# replaced; (13, 2) and (13, 3), past the guard of the ungrouped sweep, from
+# the overlap-class sweep.  Each of those two equals the 2t Lee floor of the
+# family, and test_pinned_floor_minima_have_witnesses finds a codeword of 2t
+# entries +-1 that attains both weights
 _PINNED_MIN_WEIGHTS = {
     (11, 2): (4, 4),
     (11, 3): (6, 6),
     (11, 4): (8, 10),
+    (13, 2): (4, 4),
+    (13, 3): (6, 6),
     (13, 6): (12, 12),
 }
 
@@ -201,6 +207,182 @@ _PINNED_MIN_WEIGHTS = {
 @pytest.mark.parametrize("p,t", sorted(_PINNED_MIN_WEIGHTS))
 def test_lee_bch_min_weights_pinned(p, t):
     assert codes.lee_bch(p, t).min_weights() == _PINNED_MIN_WEIGHTS[(p, t)]
+
+
+@pytest.mark.parametrize("p,t", [(13, 2), (13, 3)])
+def test_pinned_floor_minima_have_witnesses(p, t):
+    # Lee weight >= 2t and Euclid >= Lee bound both minima from below, so a
+    # codeword with 2t entries +-1 proves them; search the supports and signs
+    # for one with c(alpha^j) = 0, j < t, sharing no code with the sweep
+    code = codes.lee_bch(p, t)
+    roots = [pow(code.alpha, j, p) for j in range(t)]
+    powers = np.array([[pow(r, i, p) for r in roots] for i in range(code.n)])
+    signs = np.array(list(itertools.product((1, -1), repeat=2 * t)))
+    for support in itertools.combinations(range(code.n), 2 * t):
+        if not (signs @ powers[list(support)] % p).any(axis=1).all():
+            break
+    else:
+        pytest.fail("no codeword of 2t entries +-1")
+    assert _PINNED_MIN_WEIGHTS[(p, t)] == (2 * t, 2 * t)
+
+
+def test_sweep_guard_counts_work_not_codewords():
+    assert kernels.sweep_work(13, 9, 3) <= codes.SWEEP_GUARD < codes.lee_bch(13, 3).size
+    # reachable before, and its classes do not collide
+    assert kernels.sweep_work(13, 8, 4) <= codes.SWEEP_GUARD
+    with pytest.raises(ValueError, match="codewords"):
+        codes.lee_bch(17, 2).min_weights()
+
+
+def _encode_int16(start, count, p, rows):
+    msgs = kernels._digits_chunk(start, count, p, rows.shape[0])
+    return ((msgs @ rows) % p).astype(np.int16)
+
+
+def _ungrouped_sweep(g, k, n, p, lee_table, we_table):
+    # the sweep the overlap-class sweep replaced: every swept high-half
+    # codeword is paired with every low-half codeword
+    tables = np.stack([lee_table, we_table]).astype(np.int64)
+    acc = np.min_scalar_type(n * int(tables.max()))
+    folded = tables[:, np.arange(2 * p - 1) % p].astype(acc)
+    tables = tables.astype(acc)
+    deg = g.size - 1
+    gen = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        gen[i, i : i + deg + 1] = g
+    k_hi = k - k // 2
+    mid = slice(k_hi, k_hi + deg)
+    shift = np.arange(p, dtype=np.int16)[:, None]
+    hi_ranges = [(0 if e == 0 else p**e, (p + 1) // 2 * p**e) for e in range(k_hi)]
+    total_lo = p ** (k // 2)
+    lo_rows = max(1, kernels.SWEEP_BUDGET // max(n, 2 * deg * p))
+    big = int(np.iinfo(acc).max)
+    best = [big, big]
+    for l0 in range(0, total_lo, lo_rows):
+        lo = _encode_int16(l0, min(lo_rows, total_lo - l0), p, gen[k_hi:])
+        lo_right = tables[:, lo[:, k_hi + deg :]].sum(axis=2, dtype=acc)
+        reads = folded[:, shift + lo[:, mid].T[:, None, :]]
+        batch = max(1, kernels.SWEEP_BUDGET // max(lo.shape[0], n))
+        for a, b in hi_ranges:
+            for h0 in range(a, b, batch):
+                hi = _encode_int16(h0, min(batch, b - h0), p, gen[:k_hi])
+                hi_left = tables[:, hi[:, :k_hi]].sum(axis=2, dtype=acc)
+                for w in range(2):
+                    s = hi_left[w][:, None] + lo_right[w][None, :]
+                    for j in range(deg):
+                        s += reads[w, j, hi[:, k_hi + j]]
+                    if h0 == 0 and l0 == 0:
+                        s[0, 0] = big  # the zero codeword
+                    best[w] = min(best[w], int(s.min()))
+    return best[0], best[1]
+
+
+# the 13 codes of the benchmark's lee_sweep workload, and (11, 2)
+_ORACLE_CODES = [
+    (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (7, 4),
+    (11, 2), (11, 3), (11, 4), (11, 5), (11, 6), (13, 6), (13, 7),
+]
+
+
+@pytest.mark.parametrize("p,t", _ORACLE_CODES)
+def test_class_sweep_matches_ungrouped_sweep(p, t):
+    code = codes.lee_bch(p, t)
+    c = euclid.constellation(p)
+    args = (np.asarray(code.g, dtype=np.int64), code.k, code.n, p, c.lee_table, c.euclid_table)
+    assert kernels.cyclic_min_weights(*args) == _ungrouped_sweep(*args)
+
+
+def _brute_min_weights(gen, p, tables):
+    # every nonzero message, encoded and weighed
+    k = gen.shape[0]
+    msgs = np.stack(np.unravel_index(np.arange(1, p**k), (p,) * k), axis=1)
+    words = msgs @ gen % p
+    return tuple(int(t[words].sum(axis=1).min()) for t in tables)
+
+
+def _symmetric_table(data, p):
+    half = data.draw(st.lists(st.integers(0, 9), min_size=(p - 1) // 2, max_size=(p - 1) // 2))
+    return np.array([0, *half, *half[::-1]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(1, 3), data=st.data())
+def test_class_sweep_matches_brute_force_property(p, deg, data):
+    # random generator polynomials (g[0] == 0 included), message lengths
+    # with p^k <= 2e4 and random symmetric tables; k = 1 leaves the low half
+    # empty, k_hi > deg makes classes collide, k_hi <= deg keeps them single
+    k = data.draw(st.integers(1, int(math.log(2e4, p))), label="k")
+    g = np.array([*data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)),
+                  data.draw(st.integers(1, p - 1))])
+    tables = [_symmetric_table(data, p), _symmetric_table(data, p)]
+    n = k + deg
+    gen = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        gen[i, i : i + deg + 1] = g
+    assert kernels.cyclic_min_weights(g, k, n, p, *tables) == _brute_min_weights(gen, p, tables)
+
+
+# k = 1 (empty low half); classes colliding in the high half, in both
+# halves, or in neither (deg >= k_hi)
+@pytest.mark.parametrize("p,k,deg", [(3, 1, 2), (7, 1, 1), (5, 5, 1), (3, 9, 2),
+                                     (5, 6, 2), (5, 4, 3), (7, 2, 3), (3, 5, 3)])
+def test_class_sweep_matches_brute_force_regimes(p, k, deg):
+    rng = np.random.default_rng(100 * p + 10 * k + deg)
+    for _ in range(5):
+        g = np.append(rng.integers(0, p, deg), rng.integers(1, p))
+        half = rng.integers(0, 10, size=(2, (p - 1) // 2))
+        tables = np.hstack([np.zeros((2, 1), dtype=np.int64), half, half[:, ::-1]])
+        gen = np.zeros((k, k + deg), dtype=np.int64)
+        for i in range(k):
+            gen[i, i : i + deg + 1] = g
+        got = kernels.cyclic_min_weights(g, k, k + deg, p, *tables)
+        assert got == _brute_min_weights(gen, p, tables)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(1, 3), data=st.data())
+def test_band_sweep_matches_brute_force_property(p, deg, data):
+    # random generators of the shape the sweep relies on: high rows zero
+    # from column k_hi + deg on, low rows zero before column k_hi, and only
+    # the deg digits of each half next to the overlap columns reach them.
+    # Unlike shifted rows, these can hold their lightest codewords only among
+    # the messages with h = 0 or l = 0
+    k = data.draw(st.integers(1, int(math.log(2e4, p))), label="k")
+    k_hi, n = k - k // 2, k + deg
+    mid = slice(k_hi, k_hi + deg)
+    mask = np.zeros((k, n), dtype=bool)
+    mask[:k_hi, :k_hi] = True
+    mask[max(0, k_hi - deg) : k_hi, mid] = True
+    mask[k_hi : k_hi + deg, mid] = True
+    mask[k_hi:, k_hi + deg :] = True
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    gen = np.where(mask, np.reshape(entries, (k, n)), 0)
+    tables = np.stack([_symmetric_table(data, p), _symmetric_table(data, p)])
+    acc = np.min_scalar_type(n * int(tables.max()) + 1)
+    got = kernels._band_min_weights(gen, k_hi, deg, p, tables.astype(acc), acc)
+    assert got == _brute_min_weights(gen, p, tables)
+
+
+# band generators over GF(5) (k_hi = deg = 2) whose lightest codewords under
+# the Euclid table are the high halves alone (l = 0) or the low halves alone
+# (h = 0): every message with both halves nonzero is heavier
+_LONE_HALF = {
+    "high": [[2, 2, 3, 4, 0, 0], [4, 4, 1, 1, 0, 0], [0, 0, 1, 2, 3, 2], [0, 0, 4, 3, 4, 2]],
+    "low": [[3, 0, 1, 3, 0, 0], [0, 3, 2, 3, 0, 0], [0, 0, 1, 3, 0, 4], [0, 0, 4, 2, 4, 0]],
+}
+
+
+@pytest.mark.parametrize("light", sorted(_LONE_HALF))
+def test_band_sweep_finds_a_lone_half(light):
+    gen = np.array(_LONE_HALF[light])
+    tables = np.array([[0, 1, 2, 2, 1], [0, 1, 4, 4, 1]])
+    msgs = np.stack(np.unravel_index(np.arange(1, 5**4), (5,) * 4), axis=1)
+    weights = tables[1][msgs @ gen % 5].sum(axis=1)
+    alone = ~msgs[:, :2].any(axis=1) if light == "low" else ~msgs[:, 2:].any(axis=1)
+    assert weights[alone].min() < weights[~alone].min()
+    acc = np.min_scalar_type(6 * 4 + 1)
+    got = kernels._band_min_weights(gen, 2, 2, 5, tables.astype(acc), acc)
+    assert got == _brute_min_weights(gen, 5, tables)
 
 
 def test_lee_bch_rejects_bad_params():

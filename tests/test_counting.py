@@ -229,3 +229,49 @@ def test_big_n_dp_is_exact():
         total += binom << j  # C(2000, j) * 2^j
         binom = binom * (2000 - j) // (j + 1)
     assert v == total
+
+
+def _tilt_oracle(f, t, power):
+    # the tilted moment sum_w w^power c_w z^w / f(z), z = e^t, with the weight
+    # and count arrays built afresh on every call
+    w = np.asarray(f.weights, dtype=np.float64)
+    c = np.asarray(f.counts, dtype=np.float64)
+    expo = w * t
+    terms = c * np.exp(expo - float(expo.max()))
+    return float((w**power * terms).sum()) / float(terms.sum())
+
+
+def _solve_root_oracle(f, lam):
+    # the root finder with all 120 bisection steps run
+    t_lo, t_hi = math.log(1e-30), 0.0
+    while _tilt_oracle(f, t_hi, 1) <= lam:
+        t_hi += counting.LN2
+    for _ in range(120):
+        mid = 0.5 * (t_lo + t_hi)
+        if _tilt_oracle(f, mid, 1) < lam:
+            t_lo = mid
+        else:
+            t_hi = mid
+    t = 0.5 * (t_lo + t_hi)
+    for _ in range(10):
+        err = _tilt_oracle(f, t, 1) - lam
+        if abs(err) <= 1e-14 * lam:
+            break
+        mean = _tilt_oracle(f, t, 1)
+        var = float(_tilt_oracle(f, t, 2)) - mean * mean
+        if var <= 0.0:
+            break
+        t -= err / var
+    return math.exp(t), abs(_tilt_oracle(f, t, 1) - lam) / lam
+
+
+@pytest.mark.parametrize(
+    "f",
+    [enumerator(q) for q in (2, 3, 4, 5, 7, 8, 13, 31)]
+    + [theta_enumerator(m) for m in (8, 64, 512)],
+    ids=lambda f: f"q{f.q}-w{f.w_max}",
+)
+def test_solve_root_is_bit_identical_to_full_bisection(f):
+    for frac in (1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999):
+        lam = frac * f.w_max
+        assert counting._solve_root(f, lam) == _solve_root_oracle(f, lam)
