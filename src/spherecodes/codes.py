@@ -193,9 +193,23 @@ class ConcatenatedCode:
         return self.encode_p_message(eye)
 
     def sample_words(self, count: int, seed: int = 0) -> np.ndarray:
+        """``count`` distinct codewords of uniformly drawn messages.
+
+        A message that repeats an earlier row is redrawn, so no two sampled
+        points coincide (two equal points would put rho at 0).
+        """
+        Q, k_out = self.outer.fld.Q, self.outer.k_out
+        if count > Q**k_out:
+            raise ValueError(f"cannot sample {count} distinct codewords of {Q}^{k_out}")
         rng = np.random.default_rng(seed)
-        msgs = rng.integers(0, self.outer.fld.Q, size=(count, self.outer.k_out))
-        return self.encode(msgs)
+        msgs = rng.integers(0, Q, size=(count, k_out))
+        while True:
+            # every row but the first occurrence of its message
+            repeat = np.ones(count, dtype=bool)
+            repeat[np.unique(msgs, axis=0, return_index=True)[1]] = False
+            if not repeat.any():
+                return self.encode(msgs)
+            msgs[repeat] = rng.integers(0, Q, size=(int(repeat.sum()), k_out))
 
     def symbol_weights(self) -> np.ndarray:
         """Euclidean weight W[s] of the inner codeword of each outer symbol s.

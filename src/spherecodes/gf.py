@@ -33,8 +33,7 @@ def is_probable_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -291,13 +290,6 @@ class ExtField:
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero field element")
         return self._exp[(self.Q - 1 - self._log[a]) % (self.Q - 1)]
-
-    def pow(self, a, e: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if e == 0:
-            return np.ones_like(a)
-        out = self._exp[(self._log[a] * (e % (self.Q - 1))) % (self.Q - 1)]
-        return np.where(a == 0, 0, out)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 
 import pytest
 
@@ -167,6 +168,17 @@ def test_build_samples_a_single_pair(capsys):
     assert "guaranteed floor 20; measured min distance 213 (sampled (1 pairs))" in out
 
 
+def test_build_sampled_rho_meets_its_floor(capsys):
+    # 1000 messages drawn from 343^2 repeat some; a repeat used to put rho at 0.0
+    code, out, _ = run_cli(
+        capsys, "build", "--inner", "bch", "--p", "7", "--t", "3", "--outer", "rs",
+        "--n-out", "4", "--k-out", "2",
+    )
+    assert code == 0
+    rho, floor = re.search(r"sample rho=(\S+) \(floor (\S+)\)", out).groups()
+    assert float(rho) >= float(floor)
+
+
 def test_build_usage_error(capsys):
     code, _, err = run_cli(capsys, "build", "--gilbert", "--q", "3")
     assert code == 2
@@ -251,6 +263,17 @@ def test_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--output", "--config"])
+def test_directory_as_a_file_is_a_usage_error(capsys, tmp_path, flag):
+    code, out, err = run_cli(
+        capsys, "bounds", "--kind", "shannon", "--x-min", "-5", "--x-max", "0",
+        flag, str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_subset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "corollary")
     assert code == 0
@@ -323,3 +346,28 @@ def test_verify_exit_1_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "[FAIL] synthetic" in out
+
+
+def test_verify_fails_a_criterion_over_its_time_limit(capsys, monkeypatch):
+    from spherecodes import verify
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [])
+    verify._criterion("slow", "passes, but not in time", time_limit=0)(
+        lambda seed: (True, ["done"])
+    )
+    verify._criterion("slow_known", "a known failure, not in time", time_limit=0)(
+        lambda seed: (False, [], True)
+    )
+    for res in verify.run_criteria():
+        assert res.status == "FAIL"
+        assert re.fullmatch(r"runtime \d+\.\ds exceeded 0s", res.details[-1])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert "[FAIL] slow (" in out and "[FAIL] slow_known (" in out
+
+
+def test_region_demo_selects_its_three_checks_in_order():
+    from spherecodes import verify
+
+    keys = [r.key for r in verify.run_criteria(only=["region_demo"])]
+    assert keys == ["region_demo_residual", "region_demo_window", "region_demo_dominance"]

@@ -609,6 +609,21 @@ def test_concat_exhaustive_small():
     assert euclid.min_sq_distance(words, c5) >= 8
 
 
+def test_sample_words_are_distinct():
+    # RS[2,1] over GF(5^2) . BCH[4,2] has 25 codewords, so 25 draws repeat some
+    cc = _small_concat(5, 2, 2, 1)
+    words = cc.sample_words(25, seed=0)
+    assert np.unique(words, axis=0).shape[0] == 25
+    with pytest.raises(ValueError, match="distinct"):
+        cc.sample_words(26)
+
+
+def test_sample_words_keep_a_first_draw_without_repeats(concat_74):
+    fld, k_out = concat_74.outer.fld, concat_74.outer.k_out
+    msgs = np.random.default_rng(3).integers(0, fld.Q, size=(500, k_out))
+    assert np.array_equal(concat_74.sample_words(500, seed=3), concat_74.encode(msgs))
+
+
 # -- spherical lift -----------------------------------------------------------
 
 
