@@ -3,18 +3,24 @@
 Everything is evaluated in log-abscissa so that squared distances as small as
 e^-1000 stay representable; rho itself is only materialized above e^-700.
 Curves (rates in bits per dimension, rho the squared minimum distance on the
-unit sphere):
+unit sphere), with the parameters each one takes:
 
-    shannon        1 - (1/2) log2(rho (4 - rho)),      0 < rho < 4
-    lattice        -(1/2) log2(rho)
+    shannon          1 - (1/2) log2(rho (4 - rho)),      0 < rho < 4
+    lattice          -(1/2) log2(rho)
     lattice_shifted  lattice - 1.30
-    lachaud_stern  0.5 * shannon
-    gilbert_yaglom log2(q) - ball exponent at lambda = a*rho
-    tvz_line       rate/distance trade-off line of concatenated codes built
-                   from an outer code meeting R + Delta >= 1 - 1/(sqrt(Q)-1)
-                   and a Lee-metric inner code over GF(p)
-    envelope       the envelope of the tvz_line family as p varies
-    scaled_shannon lambda * shannon
+    lachaud_stern    0.5 * shannon
+    gilbert_yaglom   log2(q) - ball exponent at lambda = a*rho       q
+    tvz_line         rate/distance trade-off line of concatenated    p, and t
+                     codes built from an outer code meeting          or tau
+                     R + Delta >= 1 - 1/(sqrt(Q)-1) and a Lee-metric
+                     inner code over GF(p)
+    envelope         the envelope of the tvz_line family as p        c
+                     varies, at constant c = x + 2y
+    scaled_shannon   lam * shannon                                   lam
+
+:data:`CURVES` is the one table of these kinds and their parameters: both
+:func:`emit_curve` and the ``bounds`` command read it, so a new kind is one
+entry there.
 
 The module also carries the demonstration operating point: a 137-digit prime
 whose (x = -640.48, y = ln p) pair, at scaling 0.98, sits essentially on the
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import counting
 from .euclid import constellation
@@ -105,14 +112,17 @@ def shannon_lattice_gap(rho: float | None = None, *, x: float | None = None) -> 
     return -0.5 * math.log1p(-math.exp(x) / 4.0) / LN2
 
 
-def gilbert_yaglom_rate(q: int, rho: float) -> float:
-    """log2(q) minus the ball exponent at normalized radius a*rho.
+def gilbert_yaglom_rate(q: int, rho: float | None = None, *, x: float | None = None) -> float:
+    """log2(q) minus the ball exponent at normalized radius a*rho, rho in (0, 1].
 
     Valid while a*rho stays below the mean coordinate weight (above it the
     rate floor is 0 and the saddle solution is clamped).
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho!r}")
+    x = _resolve_x(rho, x)
+    if x > 0.0:
+        raise ValueError(f"rho must lie in (0, 1], got ln rho = {x!r}")
+    if rho is None:
+        rho = math.exp(x)
     c = constellation(q)
     sol = counting.saddle_solve(counting.enumerator(q), c.a * rho)
     return math.log2(q) - sol.exponent
@@ -295,16 +305,31 @@ def envelope_point(x: float, c: float) -> BoundPoint:
     return _point(x, rate)
 
 
-CURVE_KINDS = (
-    "shannon",
-    "lattice",
-    "lattice_shifted",
-    "lachaud_stern",
-    "gilbert_yaglom",
-    "tvz_line",
-    "envelope",
-    "scaled_shannon",
-)
+class Curve(NamedTuple):
+    """A curve kind: ``rate(x, **params)`` at x = ln rho, and the type of each
+    parameter.  Those named in ``optional`` may be left out, the rest not."""
+
+    rate: Callable[..., float]
+    params: dict[str, type] = {}
+    optional: tuple[str, ...] = ()
+
+
+#: every curve kind, the one place its parameters are named
+CURVES: dict[str, Curve] = {
+    "shannon": Curve(lambda x: shannon_rate(x=x)),
+    "lattice": Curve(lambda x: lattice_rate(x=x)),
+    "lattice_shifted": Curve(lambda x: lattice_rate_shifted(x=x)),
+    "lachaud_stern": Curve(lambda x: lachaud_stern_rate(x=x)),
+    "gilbert_yaglom": Curve(lambda x, q: gilbert_yaglom_rate(q, x=x), {"q": int}),
+    "tvz_line": Curve(
+        lambda x, p, t, tau: tvz_line(TVZParams(p=p, t=t, tau=tau), x=x),
+        {"p": int, "t": int, "tau": float},
+        optional=("t", "tau"),
+    ),
+    "envelope": Curve(lambda x, c: envelope_point(x, c).rate, {"c": float}),
+    "scaled_shannon": Curve(lambda x, lam: lam * shannon_rate(x=x), {"lam": float}),
+}
+CURVE_KINDS = tuple(CURVES)
 
 
 def emit_curve(
@@ -314,14 +339,22 @@ def emit_curve(
     x_max: float,
     samples: int,
 ) -> list[BoundPoint]:
-    """Uniform samples of a named curve in x = ln rho, endpoints included."""
-    if kind not in CURVE_KINDS:
+    """Uniform samples of a named curve in x = ln rho, endpoints included.
+    ``params`` holds those :data:`CURVES` names for ``kind``; None is left out."""
+    curve = CURVES.get(kind)
+    if curve is None:
         raise ValueError(f"unknown curve kind {kind!r}; choose from {CURVE_KINDS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    params = dict(params or {})
+    given = params or {}
+    args = {}
+    for name, convert in curve.params.items():
+        value = given.get(name)
+        if value is None and name not in curve.optional:
+            raise ValueError(f"the {kind} curve needs the parameter {name!r}")
+        args[name] = None if value is None else convert(value)
     _require_finite(
-        x_min=x_min, x_max=x_max, **{k: v for k, v in params.items() if isinstance(v, float)}
+        x_min=x_min, x_max=x_max, **{k: v for k, v in args.items() if isinstance(v, float)}
     )
     if x_max < x_min:
         raise ValueError("x_max must be >= x_min")
@@ -331,30 +364,4 @@ def emit_curve(
         step = (x_max - x_min) / (samples - 1)
         xs = [x_min + i * step for i in range(samples)]
         xs[-1] = x_max
-
-    if kind == "shannon":
-        fn = lambda x: shannon_rate(x=x)
-    elif kind == "lattice":
-        fn = lambda x: lattice_rate(x=x)
-    elif kind == "lattice_shifted":
-        fn = lambda x: lattice_rate_shifted(x=x)
-    elif kind == "lachaud_stern":
-        fn = lambda x: lachaud_stern_rate(x=x)
-    elif kind == "scaled_shannon":
-        lam = float(params["lam"])
-        fn = lambda x: lam * shannon_rate(x=x)
-    elif kind == "gilbert_yaglom":
-        q = int(params["q"])
-        fn = lambda x: gilbert_yaglom_rate(q, math.exp(x))
-    elif kind == "tvz_line":
-        tvz = TVZParams(
-            p=int(params["p"]),
-            t=None if params.get("t") is None else int(params["t"]),
-            tau=None if params.get("tau") is None else float(params["tau"]),
-        )
-        fn = lambda x: tvz_line(tvz, x=x)
-    else:  # envelope
-        c = float(params["c"])
-        fn = lambda x: envelope_point(x, c).rate
-
-    return [_point(x, fn(x)) for x in xs]
+    return [_point(x, curve.rate(x, **args)) for x in xs]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, codes, gf, verify
+from . import bounds, codes, gf, kernels, verify
 
 OUTDIR_ENV = "SPHERECODES_OUTDIR"
 
@@ -74,21 +74,8 @@ def _write_rows(path, header: list[str], rows: list[list], fmt: str) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    params: dict = {}
-    if args.kind == "gilbert_yaglom":
-        if args.q is None:
-            raise ValueError("--q is required for the gilbert_yaglom curve")
-        params["q"] = args.q
-    elif args.kind == "tvz_line":
-        if args.p is None:
-            raise ValueError("--p is required for the tvz_line curve")
-        params.update(p=args.p, t=args.t, tau=args.tau)
-    elif args.kind == "envelope":
-        if args.c is None:
-            raise ValueError("--c is required for the envelope curve")
-        params["c"] = args.c
-    elif args.kind == "scaled_shannon":
-        params["lam"] = args.lam
+    # every curve parameter is the option of the same name (lam is --lambda)
+    params = {name: getattr(args, name) for name in bounds.CURVES[args.kind].params}
     pts = bounds.emit_curve(args.kind, params, args.x_min, args.x_max, args.samples)
     rows = [[p.x, p.rho, p.rate, args.kind] for p in pts]
     _write_rows(args.output, ["x", "rho", "rate", "curve"], rows, args.format)
@@ -155,7 +142,7 @@ def _cmd_build(args) -> int:
         if isinstance(code, codes.ConcatenatedCode):
             n_total, k_total, floor = code.n, code.k_total, code.metric_floor
             if size <= codes.EXHAUSTIVE_GUARD:
-                words = code.encode_p_message(_all_messages(size, code.p, k_total))
+                words = code.encode_p_message(kernels.digits(np.arange(size), code.p, k_total))
                 measured = codes.linear_min_distance(words, code.p)
                 mode = "exhaustive"
             else:
@@ -167,7 +154,7 @@ def _cmd_build(args) -> int:
             lee, we = code.min_weights()
             measured = we
             mode = f"exhaustive (min lee weight {lee})"
-            words = code.encode(_all_messages(min(size, 4096), code.p, code.k))
+            words = code.encode(kernels.digits(np.arange(min(size, 4096)), code.p, code.k))
         sph = codes.to_spherical(code.p, words, d_floor=floor)
         print_lines += [
             f"{label}: n={n_total} |C|={code.p}^{k_total}",
@@ -184,12 +171,6 @@ def _cmd_build(args) -> int:
         header = [f"c{i}" for i in range(points.shape[1])]
         _write_rows(args.output, header, rows, args.format)
     return 0
-
-
-def _all_messages(count: int, q: int, width: int) -> np.ndarray:
-    from . import kernels
-
-    return kernels._digits_chunk(0, count, q, width)
 
 
 def _cmd_verify(args) -> int:
@@ -251,11 +232,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
-    p.add_argument(
-        "--format", choices=("csv", "json-lines"), default="csv", help="row format"
-    )
+def _add_common(p: argparse.ArgumentParser, rows: bool = True) -> None:
+    """--seed and --config, after --output and --format for a command that writes rows."""
+    if rows:
+        p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
+        p.add_argument(
+            "--format", choices=("csv", "json-lines"), default="csv", help="row format"
+        )
     p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     p.add_argument("--config", default=None, help="key = value defaults file")
 
@@ -271,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--kind", required=True, choices=bounds.CURVE_KINDS)
     pb.add_argument("--x-min", type=finite_float, required=True, help="lower ln(rho)")
     pb.add_argument("--x-max", type=finite_float, required=True, help="upper ln(rho)")
-    pb.add_argument("--samples", type=int, default=100)
+    pb.add_argument("--samples", type=positive_int, default=100)
     pb.add_argument("--q", type=int, default=None, help="alphabet for gilbert_yaglom")
     pb.add_argument("--p", type=int, default=None, help="prime for tvz_line")
     pb.add_argument("--t", type=int, default=None, help="inner budget for tvz_line")
@@ -287,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--lambda", dest="lam", type=finite_float, default=0.98)
     pr.add_argument("--x-min", type=finite_float, default=-1000.0)
     pr.add_argument("--x-max", type=finite_float, default=-1.0)
-    pr.add_argument("--x-steps", type=int, default=200)
+    pr.add_argument("--x-steps", type=positive_int, default=200)
     pr.add_argument("--y-min", type=finite_float, default=1.0)
     pr.add_argument("--y-max", type=finite_float, default=500.0)
-    pr.add_argument("--y-steps", type=int, default=200)
+    pr.add_argument("--y-steps", type=positive_int, default=200)
     _add_common(pr)
     pr.set_defaults(fn=_cmd_region)
 
@@ -314,21 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         default=None,
-        help="run only criteria whose key contains this string (repeatable)",
+        help="run only criteria whose key starts with this string (repeatable)",
     )
-    _add_common(pv)
+    _add_common(pv, rows=False)
     pv.set_defaults(fn=_cmd_verify)
     return parser
 
 
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Fold ``key = value`` lines of a --config file in as leading defaults."""
-    if "--config" not in argv:
+def _apply_config(argv: list[str]) -> list[str]:
+    """Fold ``key = value`` lines of a ``--config file`` (or ``--config=file``)
+    in as leading defaults."""
+    for idx, word in enumerate(argv):
+        if word == "--config" and idx + 1 < len(argv):
+            path = Path(argv[idx + 1])
+            break
+        if word.startswith("--config="):
+            path = Path(word.partition("=")[2])
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = Path(argv[idx + 1])
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     extra: list[str] = []
@@ -352,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _attach_negative_values(_apply_config(argv, parser))
+        argv = _attach_negative_values(_apply_config(argv))
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:

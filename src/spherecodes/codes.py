@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euclid, gf, kernels
-from .euclid import Constellation, constellation
+from .euclid import constellation
 from .gf import ExtField, RSCode, is_probable_prime
 
 #: scale guard for full word-space scans
@@ -77,10 +77,7 @@ class LeeBCH:
 
     @property
     def generator_matrix(self) -> np.ndarray:
-        gen = np.zeros((self.k, self.n), dtype=np.int64)
-        for i in range(self.k):
-            gen[i, i : i + self.t + 1] = self.g
-        return gen
+        return kernels.shifted_generator(self.g, self.k, self.n)
 
     @property
     def size(self) -> int:
@@ -110,7 +107,7 @@ class LeeBCH:
             )
         c = constellation(self.p)
         return kernels.cyclic_min_weights(
-            np.asarray(self.g, dtype=np.int64),
+            np.asarray(self.g),
             self.k,
             self.n,
             self.p,
@@ -256,7 +253,6 @@ class ConcatenatedCode:
         gen = fld.to_digits(self.outer.encode(fld.from_digits(units)))
         gen = gen.reshape(self.k_total, -1).astype(np.float64)
         fold = (np.arange(-top, top + 1) % self.p).astype(np.min_scalar_type(self.p))
-        place = self.p ** np.arange(fld.k)  # to_digits is least significant first
         weights = self.symbol_weights()
         best = np.iinfo(np.int64).max
         chunk = 1 << 14
@@ -265,7 +261,7 @@ class ConcatenatedCode:
             diff -= np.take(digits, b[i0 : i0 + chunk], axis=0)
             prod = diff.reshape(diff.shape[0], self.k_total) @ gen
             prod += top
-            symbols = fold[prod.astype(np.intp)].reshape(diff.shape[0], -1, fld.k) @ place
+            symbols = fld.from_digits(fold[prod.astype(np.intp)].reshape(len(diff), -1, fld.k))
             best = min(best, int(weights[symbols].sum(axis=1).min()))
         return best
 
@@ -308,30 +304,25 @@ class SphericalCodeResult:
     floor_rho: float | None
 
 
-def to_spherical(
-    c: Constellation | int, words, d_floor: int | None = None
-) -> SphericalCodeResult:
-    """Embed words, lift onto the sphere of radius sqrt(n*a), renormalize to
-    the unit sphere, and measure the squared minimum distance.
+def to_spherical(q: int, words, d_floor: int | None = None) -> SphericalCodeResult:
+    """Embed words over Z_q, lift onto the sphere of radius sqrt(n*a)
+    (:func:`euclid.yaglom_lift`), renormalize to the unit sphere, and measure
+    the squared minimum distance.
 
     rho is the minimum over all pairs of the direct squared differences
     sum_k (x_k - y_k)^2 of the float64 unit points (see
     :func:`kernels.min_sq_dist_real`).  With ``d_floor`` given, it is
     guaranteed up to that float roundoff to be at least d_floor / (n*a).
     """
-    if isinstance(c, int):
-        c = constellation(c)
+    c = constellation(q)
     w = np.atleast_2d(np.asarray(words, dtype=np.int64))
     if w.size == 0:
         raise ValueError("empty word set")
     if np.any(w < 0) or np.any(w >= c.q):
         raise ValueError(f"residues out of range for q={c.q}")
     m, n = w.shape
-    reps = np.asarray(c.reps)
-    emb = reps[w]
     r2 = n * c.a
-    last = np.sqrt(np.maximum(r2 - np.einsum("ij,ij->i", emb, emb), 0.0))
-    pts = np.column_stack([emb, last]) / math.sqrt(r2)
+    pts = euclid.yaglom_lift(np.asarray(c.reps)[w], radius_sq=r2) / math.sqrt(r2)
     rho = euclid.min_sq_distance(pts) if m >= 2 else math.inf
     return SphericalCodeResult(
         points=pts,

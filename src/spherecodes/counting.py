@@ -234,18 +234,17 @@ def _required_truncation(lam: float) -> int:
         m *= 2
     return m
 
-def theta_saddle(lam: float, truncation: int | None = None) -> SaddleSolution:
+
+def theta_saddle(lam: float) -> SaddleSolution:
     """Saddle solution for the theta series, with an a-posteriori check that
     the dropped tail at mu is below 1e-18 of f(mu).
 
-    ``truncation`` counts the square terms kept.  When omitted it is chosen
-    automatically; when given and insufficient, the error names the degree
-    that would have been required.
+    The number of square terms kept starts at an estimate and doubles until
+    the check holds.
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam!r}")
-    auto = truncation is None
-    m = _required_truncation(lam) if auto else int(truncation)
+    m = _required_truncation(lam)
     while True:
         f = theta_enumerator(m)
         sol = saddle_solve(f, lam)
@@ -258,15 +257,8 @@ def theta_saddle(lam: float, truncation: int | None = None) -> SaddleSolution:
         f_mu = math.exp(f.log_f(math.log(mu)))
         if tail <= THETA_TAIL_RTOL * f_mu:
             return sol
-        needed = m
-        while mu ** ((needed + 1) ** 2) > THETA_TAIL_RTOL * f_mu / 4.0 and needed < 65536:
-            needed *= 2
-        if not auto:
-            raise ConvergenceError(
-                f"theta truncation {m} insufficient at lambda={lam!r}; "
-                f"need about {needed} square terms (degree {needed**2})"
-            )
-        m = needed
+        while mu ** ((m + 1) ** 2) > THETA_TAIL_RTOL * f_mu / 4.0 and m < 65536:
+            m *= 2
 
 
 def continuum_exponent(lam: float) -> float:
@@ -274,11 +266,11 @@ def continuum_exponent(lam: float) -> float:
     return 0.5 * math.log2(2.0 * math.pi * math.e * lam)
 
 
-def theta_defect(lam: float, truncation: int | None = None) -> float:
+def theta_defect(lam: float) -> float:
     """Gap (in bits) between the integer-ball exponent and the continuum
     exponent at normalized squared radius ``lam``; strictly positive and
     vanishing as ``lam`` grows."""
-    return theta_saddle(lam, truncation).exponent - continuum_exponent(lam)
+    return theta_saddle(lam).exponent - continuum_exponent(lam)
 
 
 def theta_defect_leading(lam: float) -> float:

@@ -9,7 +9,9 @@ used throughout is the translation-invariant difference weight
 which is integer valued and lower-bounds the squared straight-line distance of
 the embedded points, so every distance floor derived from it stays valid after
 embedding.  The Yaglom lift maps the radius-R ball of R^n onto the radius-R
-sphere of R^(n+1) without ever decreasing pairwise distances.
+sphere of R^(n+1) without ever decreasing pairwise distances;
+:func:`yaglom_lift` is its one implementation, which ``codes.to_spherical``
+and the ``yaglom_expansion`` criterion both call on arrays of rows.
 """
 
 from __future__ import annotations
@@ -112,26 +114,36 @@ def sq_euclid_distance(c: Constellation, u, v) -> int:
     return int(c.euclid_table[(a - b) % c.q].sum())
 
 
-def yaglom_lift(point, radius: float) -> np.ndarray:
-    """Lift a point of the radius-R ball of R^n onto the radius-R sphere of R^(n+1).
+def yaglom_lift(
+    points, radius: float | None = None, *, radius_sq: float | None = None
+) -> np.ndarray:
+    """Lift points of the radius-R ball of R^n onto the radius-R sphere of R^(n+1).
 
-    The added coordinate is sqrt(R^2 - x.x).  Points outside the ball (beyond a
-    1e-9 relative tolerance) are rejected with the measured excess.
+    ``points`` is one point (1-d) or an array of rows (2-d); each gains the
+    coordinate sqrt(R^2 - x.x), and a row lifts alike either way.  Pass
+    exactly one of the radius R or its square: R^2 = n a of a word embedding
+    is exact where sqrt(n a)^2 need not round back to it.  Points outside the
+    ball (beyond a 1e-9 relative tolerance) are rejected with the measured
+    excess.
     """
-    x = np.asarray(point, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("point must be 1-d")
-    if radius <= 0:
+    if (radius is None) == (radius_sq is None):
+        raise ValueError("pass exactly one of radius or radius_sq")
+    if (radius_sq if radius is None else radius) <= 0:
         raise ValueError("radius must be positive")
-    r2 = radius * radius
-    nrm = float(x @ x)
-    if nrm > r2 * (1.0 + BALL_RTOL):
+    r2 = radius_sq if radius is None else radius * radius
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("points must be one point (1-d) or an array of rows (2-d)")
+    rows = np.atleast_2d(x)
+    nrm = np.einsum("ij,ij->i", rows, rows)
+    worst = float(nrm.max(initial=0.0))
+    if worst > r2 * (1.0 + BALL_RTOL):
         raise ValueError(
-            f"point outside ball: |x|^2 = {nrm!r} exceeds R^2 = {r2!r} "
-            f"by {nrm - r2!r}"
+            f"point outside ball: |x|^2 = {worst!r} exceeds R^2 = {r2!r} "
+            f"by {worst - r2!r}"
         )
-    last = np.sqrt(max(r2 - nrm, 0.0))
-    return np.concatenate([x, [last]])
+    last = np.sqrt(np.maximum(r2 - nrm, 0.0))
+    return np.column_stack([rows, last]).reshape(*x.shape[:-1], x.shape[-1] + 1)
 
 
 def min_sq_distance(points, c: Constellation | None = None):

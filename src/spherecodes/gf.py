@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,11 +185,11 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 @dataclass
 class ExtField:
-    """GF(p^k) with integer-encoded elements and vectorized table arithmetic."""
+    """GF(p^k) with integer-encoded elements and vectorized table arithmetic,
+    modulo the irreducible :func:`find_irreducible` gives."""
 
     p: int
     k: int
-    irreducible: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not is_probable_prime(self.p):
@@ -199,10 +199,7 @@ class ExtField:
         self.Q = self.p**self.k
         if self.Q > MAX_TABLE_FIELD:
             raise ValueError(f"field size {self.Q} exceeds table guard {MAX_TABLE_FIELD}")
-        if self.irreducible is None:
-            self.irreducible = find_irreducible(self.p, self.k)
-        elif not is_irreducible(list(self.irreducible), self.p):
-            raise ValueError("supplied modulus is not irreducible")
+        self.irreducible = find_irreducible(self.p, self.k)
         self._build_tables()
 
     # -- integer <-> digit vectors ------------------------------------------
@@ -215,10 +212,13 @@ class ExtField:
         return out
 
     def from_digits(self, digits) -> np.ndarray:
-        d = np.asarray(digits, dtype=np.int64)
-        v = np.zeros(d.shape[:-1], dtype=np.int64)
-        for i in range(self.k - 1, -1, -1):
-            v = v * self.p + d[..., i]
+        """Elements from integer digit vectors (last axis, least significant
+        first), by Horner's rule in place: the digits keep their dtype."""
+        d = np.asarray(digits)
+        v = d[..., self.k - 1].astype(np.int64)
+        for i in range(self.k - 2, -1, -1):
+            v *= self.p
+            v += d[..., i]
         return v
 
     def _build_tables(self):
@@ -230,13 +230,13 @@ class ExtField:
             return [v // place % p for place in places]
 
         # primitive element: smallest integer encoding with multiplicative
-        # order q - 1
+        # order q - 1 (the element 1 only for GF(2))
         fac = list(factorize(q - 1))
 
         def full_order(g: int) -> bool:
             return all(_poly_powmod(digits(g), (q - 1) // f, mod, p) != [1] for f in fac)
 
-        gen = next(g for g in range(2, q) if full_order(g))
+        gen = next(g for g in range(1, q) if full_order(g))
         self.generator = gen
         # rows of the GF(p)-linear map "multiply by the generator" on digit
         # vectors: column j holds the digits of z^j * generator

@@ -8,6 +8,9 @@ Gram product and re-measures by the direct formula every pair that could be
 the minimum, and a meet-in-the-middle codeword weight sweep that pairs the
 overlap classes of the two message halves instead of their codewords.  Both
 pair scans walk the same tiles.
+
+The package enumerates words by index only through :func:`digits`, and builds
+a cyclic generator from its polynomial only through :func:`shifted_generator`.
 """
 
 from __future__ import annotations
@@ -117,8 +120,10 @@ def min_sq_dist_real(points: np.ndarray) -> float:
     return best
 
 
-def _digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Digits of the word indices ``idx``, leftmost digit most significant."""
+def digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The words of Z_q^n with indices ``idx``, one row each, leftmost digit
+    most significant: ``digits(np.arange(q**n), q, n)`` lists Z_q^n in
+    lexicographic order."""
     idx = np.array(idx, dtype=np.int64)
     out = np.empty((idx.size, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
@@ -127,10 +132,14 @@ def _digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     return out
 
 
-def _digits_chunk(start: int, count: int, q: int, n: int) -> np.ndarray:
-    """Words ``start .. start+count`` in lexicographic order, leftmost digit
-    most significant."""
-    return _digits(np.arange(start, start + count, dtype=np.int64), q, n)
+def shifted_generator(g, k: int, n: int) -> np.ndarray:
+    """The k x n generator of the cyclic code with generator polynomial
+    coefficients ``g`` (ascending): row i is g shifted right by i."""
+    g = np.asarray(g, dtype=np.int64)
+    gen = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        gen[i, i : i + g.size] = g
+    return gen
 
 
 def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
@@ -144,7 +153,7 @@ def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
     rows = max(1, SWEEP_BUDGET // max(m, 1))
     parts = []
     for start in range(0, total, rows):
-        chunk = _digits_chunk(start, min(rows, total - start), q, m)
+        chunk = digits(np.arange(start, min(start + rows, total)), q, m)
         parts.append(chunk[table[chunk].sum(axis=1) <= radius])
     offs = np.concatenate(parts)
     wt = table[offs].sum(axis=1)
@@ -200,7 +209,7 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     """
     total = q**n
     if d <= table[1:].min():  # every two distinct words are at weight >= d
-        return _digits_chunk(0, total, q, n)
+        return digits(np.arange(total), q, n)
     n_lo = n // 2
     size_lo = q**n_lo
     hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, table)
@@ -235,7 +244,7 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
         cols = np.concatenate([lo_cache[l] for l in row_kept]).reshape(len(row_kept), -1)
         for a, b, width in blocks:
             free[rows[a:b, None], cols[:, :width].reshape(1, -1)] = False
-    return _digits(np.concatenate(kept), q, n)
+    return digits(np.concatenate(kept), q, n)
 
 
 def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
@@ -303,13 +312,13 @@ def _class_minima(gen, m, halve, own, p, tables, acc):
     while j < k and p ** (j + 1) * n <= SWEEP_BUDGET:
         j += 1
     head, tail_rows = gen[: k - j], gen[k - j :]
-    tail = tail_rows.T @ _digits(np.arange(p**j), p, j).T
+    tail = tail_rows.T @ digits(np.arange(p**j), p, j).T
     tail %= p
     by_head, by_tail = head.any(axis=0), tail_rows.any(axis=0)
     base = np.take(tables, tail[own & ~by_head], axis=1).sum(axis=1, dtype=acc)
     top = (p + 1) // 2 if halve else p  # first nonzero digits swept are 1 .. top-1
     head_msgs = np.concatenate([[0], *(np.arange(p**e, top * p**e) for e in range(k - j))])
-    heads = _digits(head_msgs, p, k - j) @ head % p  # zero head first
+    heads = digits(head_msgs, p, k - j) @ head % p  # zero head first
     fixed = np.take(tables, heads[:, own & ~by_tail], axis=1).sum(axis=2, dtype=acc)
     mixed = np.flatnonzero(own & by_head & by_tail)
     folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
@@ -435,9 +444,7 @@ def cyclic_min_weights(
     tables = np.stack([lee_table, we_table]).astype(np.int64)
     if tables.min() < 0 or not np.array_equal(tables, tables[:, -np.arange(p) % p]):
         raise ValueError("weight tables must be non-negative with table[r] == table[-r mod p]")
-    deg = g.size - 1
-    gen = np.zeros((k, n), dtype=np.int64)
-    for i in range(k):
-        gen[i, i : i + deg + 1] = g
     acc = np.min_scalar_type(n * int(tables.max()) + 1)
-    return _band_min_weights(gen, k - k // 2, deg, p, tables.astype(acc), acc)
+    return _band_min_weights(
+        shifted_generator(g, k, n), k - k // 2, g.size - 1, p, tables.astype(acc), acc
+    )

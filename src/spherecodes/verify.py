@@ -102,7 +102,7 @@ def _ball_oracle(seed: int):
         c = euclid.constellation(q)
         table = c.euclid_table
         for n in range(1, 5):
-            words = kernels._digits_chunk(0, q**n, q, n)
+            words = kernels.digits(np.arange(q**n), q, n)
             weights = table[words].sum(axis=1)
             top = n * c.a_int
             cum = np.cumsum(np.bincount(weights, minlength=top + 3))
@@ -353,8 +353,7 @@ def _yaglom_expansion(seed: int):
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.random(2 * pairs) ** (1.0 / n)
     pts = g * r[:, None]
-    last = np.sqrt(np.maximum(radius**2 - np.einsum("ij,ij->i", pts, pts), 0.0))
-    lifted = np.column_stack([pts, last])
+    lifted = euclid.yaglom_lift(pts, radius)
     a, b = pts[:pairs], pts[pairs:]
     la, lb = lifted[:pairs], lifted[pairs:]
     d_orig = np.einsum("ij,ij->i", a - b, a - b)
@@ -432,10 +431,11 @@ def _theta_defect(seed: int):
 
 
 def run_criteria(only: list[str] | None = None, seed: int = 0) -> list[CriterionResult]:
-    """Run all (or a key-filtered subset of) the acceptance criteria."""
+    """Run all the acceptance criteria, or those whose key starts with one of
+    the strings in ``only``, in suite order."""
     results: list[CriterionResult] = []
     for key, fn in ALL_CRITERIA:
-        if only and not any(sel in key for sel in only):
+        if only and not key.startswith(tuple(only)):
             continue
         results.extend(fn(seed))
     if only and not results:

@@ -74,6 +74,21 @@ def test_gilbert_yaglom_examples():
         bounds.gilbert_yaglom_rate(3, 1.5)
 
 
+@pytest.mark.parametrize("x", [-20.0, -5.0, -1.0, -0.1, -1e-9])
+@pytest.mark.parametrize("q", [3, 4, 7])
+def test_gilbert_yaglom_rate_in_x(q, x):
+    assert bounds.gilbert_yaglom_rate(q, x=x) == bounds.gilbert_yaglom_rate(q, math.exp(x))
+
+
+def test_gilbert_yaglom_rate_domain():
+    with pytest.raises(ValueError, match="exactly one"):
+        bounds.gilbert_yaglom_rate(3)
+    with pytest.raises(ValueError, match="exactly one"):
+        bounds.gilbert_yaglom_rate(3, 0.5, x=-1.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        bounds.gilbert_yaglom_rate(3, x=0.1)
+
+
 # -- TVZ line -----------------------------------------------------------------
 
 
@@ -264,6 +279,47 @@ def test_emit_curve_unknown_kind():
         bounds.emit_curve("shannon", None, -1.0, 0.0, 0)
     with pytest.raises(ValueError):
         bounds.emit_curve("shannon", None, 0.0, -1.0, 2)
+
+
+# every parameter a curve kind cannot do without, with a value it accepts
+_REQUIRED = {"q": 3, "p": 7, "c": -10.0, "lam": 0.98}
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [(kind, name) for kind, curve in bounds.CURVES.items() for name in curve.params
+     if name not in curve.optional],
+)
+def test_emit_curve_names_a_missing_parameter(kind, name):
+    params = bounds.CURVES[kind].params
+    others = {n: v for n, v in _REQUIRED.items() if n in params and n != name}
+    # left out, or given as None (an option the command line did not get)
+    for params in (others, {**others, name: None}):
+        with pytest.raises(ValueError, match=f"the {kind} curve needs the parameter '{name}'"):
+            bounds.emit_curve(kind, params, -2.0, -1.0, 2)
+
+
+def test_curve_table_covers_every_kind_and_parameter():
+    assert bounds.CURVE_KINDS == tuple(bounds.CURVES)
+    # the kinds with parameters, and what each one needs
+    needs = {
+        kind: sorted(name for name in curve.params if name not in curve.optional)
+        for kind, curve in bounds.CURVES.items()
+    }
+    assert needs == {
+        "shannon": [], "lattice": [], "lattice_shifted": [], "lachaud_stern": [],
+        "gilbert_yaglom": ["q"], "tvz_line": ["p"], "envelope": ["c"],
+        "scaled_shannon": ["lam"],
+    }
+    # each kind samples with its required parameters alone (tvz_line also
+    # needs one of t or tau)
+    for kind, names in needs.items():
+        params = {n: _REQUIRED[n] for n in names}
+        if kind == "tvz_line":
+            params["t"] = 2
+        pts = bounds.emit_curve(kind, params, -30.0, -20.0, 3)
+        assert [p.x for p in pts] == [-30.0, -25.0, -20.0]
+        assert all(math.isfinite(p.rate) for p in pts)
 
 
 def test_emit_curve_deterministic():

@@ -82,7 +82,7 @@ def test_bounds_usage_errors(capsys):
         capsys, "bounds", "--kind", "gilbert_yaglom", "--x-min", "-2", "--x-max", "-1",
     )
     assert code == 2
-    assert "--q is required" in err
+    assert "needs the parameter 'q'" in err
     with pytest.raises(SystemExit) as exc:
         cli.main(["bounds", "--kind", "bogus", "--x-min", "0", "--x-max", "1"])
     assert exc.value.code == 2
@@ -263,6 +263,41 @@ def test_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_config_file_both_spellings(tmp_path, capsys, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = lattice\nx-min = -4\nx_max = -2\nsamples = 3\n")
+    flag = ["--config", str(cfg)] if spelling == "separate" else [f"--config={cfg}"]
+    code, out, _ = run_cli(capsys, "bounds", *flag)
+    assert code == 0
+    assert out.startswith("x,rho,rate,curve\n-4.0,")
+    assert len(out.strip().split("\n")) == 4
+
+
+def test_missing_config_file_after_equals_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    code, out, err = run_cli(capsys, "bounds", f"--config={missing}")
+    assert code == 2
+    assert out == ""
+    assert "config file not found" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "region --x-steps 0",
+        "region --y-steps 0",
+        "region --x-steps -3",
+        "bounds --kind shannon --x-min -5 --x-max 0 --samples 0",
+    ],
+)
+def test_empty_grid_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--output", "--config"])
 def test_directory_as_a_file_is_a_usage_error(capsys, tmp_path, flag):
     code, out, err = run_cli(
@@ -278,6 +313,38 @@ def test_verify_subset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "corollary")
     assert code == 0
     assert "[PASS] corollary" in out
+
+
+def test_verify_only_selects_by_key_prefix(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "dominance")
+    assert code == 0
+    assert "[PASS] dominance" in out
+    assert "region_demo_dominance" not in out
+    assert "\n1 checks: 1 passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--output", "verify.txt"], ["--format", "json-lines"], ["-o", "-"]]
+)
+def test_verify_takes_no_output_options(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--only", "corollary", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "verify.txt").exists()
+
+
+def test_yaglom_expansion_checks_the_shipped_lift(capsys, monkeypatch):
+    # a lift that pulls every lifted point halfway to the origin shrinks
+    # distances; the criterion must see it, so it must call euclid.yaglom_lift
+    from spherecodes import euclid
+
+    lift = euclid.yaglom_lift
+    monkeypatch.setattr(euclid, "yaglom_lift", lambda *a, **kw: 0.5 * lift(*a, **kw))
+    code, out, _ = run_cli(capsys, "verify", "--only", "yaglom_expansion")
+    assert code == 1
+    assert "[FAIL] yaglom_expansion" in out
 
 
 def test_verify_region_demo_composite(capsys):

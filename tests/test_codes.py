@@ -235,7 +235,7 @@ def test_sweep_guard_counts_work_not_codewords():
 
 
 def _encode_int16(start, count, p, rows):
-    msgs = kernels._digits_chunk(start, count, p, rows.shape[0])
+    msgs = kernels.digits(np.arange(start, start + count), p, rows.shape[0])
     return ((msgs @ rows) % p).astype(np.int16)
 
 
@@ -499,7 +499,7 @@ SMALL_CONCATS = [(5, 2, 3, 2), (5, 3, 4, 2)]
 @functools.cache
 def _exhaustive_min(params):
     cc = _small_concat(*params)
-    words = cc.encode_p_message(kernels._digits_chunk(0, cc.size, cc.p, cc.k_total))
+    words = cc.encode_p_message(kernels.digits(np.arange(cc.size), cc.p, cc.k_total))
     return euclid.min_sq_distance(words, euclid.constellation(cc.p))
 
 
@@ -550,7 +550,7 @@ def test_symbol_weights_are_inner_codeword_weights(concat_74, params):
 @pytest.mark.parametrize("params", [*SMALL_CONCATS, (7, 4, 4, 2)])
 def test_linear_min_distance_matches_pairwise_scan(params):
     cc = _small_concat(*params)
-    words = cc.encode_p_message(kernels._digits_chunk(0, cc.size, cc.p, cc.k_total))
+    words = cc.encode_p_message(kernels.digits(np.arange(cc.size), cc.p, cc.k_total))
     expect = euclid.min_sq_distance(words, euclid.constellation(cc.p))
     assert codes.linear_min_distance(words, cc.p) == expect
     # the zero codeword need not come first
@@ -601,9 +601,7 @@ def test_concat_exhaustive_small():
     outer = gf.RSCode(fld, 3, 2)  # [3, 2] distance 2
     cc = codes.concatenate(outer, inner)
     assert cc.metric_floor == 8
-    from spherecodes.kernels import _digits_chunk
-
-    words = cc.encode_p_message(_digits_chunk(0, cc.size, 5, cc.k_total))
+    words = cc.encode_p_message(kernels.digits(np.arange(cc.size), 5, cc.k_total))
     assert words.shape == (625, 12)
     c5 = euclid.constellation(5)
     assert euclid.min_sq_distance(words, c5) >= 8

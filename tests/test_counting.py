@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spherecodes import counting
 from spherecodes.counting import (
-    ConvergenceError,
     ball_size,
     enumerator,
     saddle_solve,
@@ -161,7 +160,7 @@ def test_saddle_residual_and_uniqueness(q, frac):
 
 
 def test_theta_matches_large_alphabet():
-    t = theta_saddle(0.5, truncation=64)
+    t = theta_saddle(0.5)
     s = saddle_solve(enumerator(101), 0.5)
     assert t.mu == pytest.approx(s.mu, abs=1e-12)
     assert t.exponent == pytest.approx(s.exponent, abs=1e-12)
@@ -169,11 +168,6 @@ def test_theta_matches_large_alphabet():
 
 def test_theta_small_lambda_limit():
     assert theta_saddle(1e-10).exponent < 1e-7
-
-
-def test_theta_truncation_error_names_degree():
-    with pytest.raises(ConvergenceError, match="square terms"):
-        theta_saddle(1.0, truncation=2)
 
 
 def test_theta_exponent_regression():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,40 @@ def test_yaglom_rejects_outside():
     # within the stated relative tolerance: accepted, clamped to the sphere
     out = euclid.yaglom_lift([1.0 + 1e-12], 1.0)
     assert out[-1] == 0.0
+
+
+def test_yaglom_lift_of_rows_is_the_lift_of_each_row():
+    rng = np.random.default_rng(11)
+    for n, radius in [(1, 1.0), (5, 1.5), (12, math.sqrt(7.0))]:
+        g = rng.normal(size=(300, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts = g * (radius * rng.random((300, 1)) ** (1.0 / n))
+        rows = euclid.yaglom_lift(pts, radius)
+        assert rows.shape == (300, n + 1)
+        assert np.array_equal(rows, np.array([euclid.yaglom_lift(p, radius) for p in pts]))
+        # the squared radius lifts alike when it is the square of the radius
+        assert np.array_equal(euclid.yaglom_lift(pts, radius_sq=radius * radius), rows)
+
+
+def test_yaglom_lift_rejects_a_row_outside_the_ball():
+    pts = np.array([[0.0, 0.5], [0.6, 0.8], [1.0, 0.1], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="outside ball"):
+        euclid.yaglom_lift(pts, 1.0)
+    assert euclid.yaglom_lift(pts[[0, 1, 3]], 1.0)[:, -1].tolist() == [
+        math.sqrt(0.75), 0.0, 1.0
+    ]
+
+
+def test_yaglom_lift_takes_one_radius():
+    with pytest.raises(ValueError, match="exactly one"):
+        euclid.yaglom_lift([0.0], 1.0, radius_sq=1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        euclid.yaglom_lift([0.0])
+    for kw in ({"radius": 0.0}, {"radius": -1.0}, {"radius_sq": 0.0}):
+        with pytest.raises(ValueError, match="positive"):
+            euclid.yaglom_lift([0.0], **kw)
+    with pytest.raises(ValueError, match="1-d"):
+        euclid.yaglom_lift(np.zeros((2, 2, 2)), 1.0)
 
 
 def test_yaglom_expansion_bulk():

@@ -63,6 +63,16 @@ def test_prime_field_is_arithmetic_mod_p():
     assert np.array_equal(F.mul(a, b), (a * b) % 5)
 
 
+def test_gf2_builds():
+    # the generator of GF(2)^* is 1, the one field whose primitive element is 1
+    F = gf.ExtField(2, 1)
+    assert F.generator == 1
+    a, b = np.meshgrid(np.arange(2), np.arange(2))
+    assert np.array_equal(F.add(a, b), (a + b) % 2)
+    assert np.array_equal(F.mul(a, b), a * b)
+    assert F.inv(1) == 1
+
+
 @pytest.mark.parametrize("p,k", [(7, 2), (7, 4), (5, 3), (11, 2), (3, 5)])
 def test_field_axioms(p, k):
     F = gf.ExtField(p, k)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,25 @@ def _min_sq_dist_oracle(points):
 
 def test_backend_name():
     assert kernels.backend() == "numpy"
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (3, 4), (7, 2)])
+def test_digits_lists_the_words_in_lexicographic_order(q, n):
+    words = kernels.digits(np.arange(q**n), q, n)
+    assert words.tolist() == [list(w) for w in itertools.product(range(q), repeat=n)]
+    idx = np.array([q**n - 1, 0, 1])
+    assert np.array_equal(kernels.digits(idx, q, n), words[idx])
+    assert kernels.digits(np.arange(0), q, n).shape == (0, n)
+
+
+def test_shifted_generator_rows_are_shifts_of_g():
+    gen = kernels.shifted_generator((3, 0, 1), 4, 6)
+    assert gen.tolist() == [
+        [3, 0, 1, 0, 0, 0],
+        [0, 3, 0, 1, 0, 0],
+        [0, 0, 3, 0, 1, 0],
+        [0, 0, 0, 3, 0, 1],
+    ]
 
 
 # budgets 1 and 9 give tiles of side 1 and 3, so the scan crosses tile
