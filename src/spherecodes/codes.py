@@ -22,11 +22,14 @@ from .gf import ExtField, RSCode, is_probable_prime
 GREEDY_GUARD = 10**7
 #: codebook size above which distance verification is sampled
 EXHAUSTIVE_GUARD = 10**5
-#: sweep work (kernels.sweep_work: half codewords swept plus class pairs read)
-#: above which LeeBCH.min_weights refuses to sweep.  On 2 cores the slowest
-#: codes below it, (13, 4) (4.1e8, nearly all class pairs) and (17, 3) (2.5e8,
-#: mostly half codewords), took 2-3.3 s, at 8e7 to 2e8 units of work per
-#: second, so a sweep below the guard ends within about 6 s; (17, 2) is above
+#: sweep work (kernels.sweep_work: half codewords swept plus every class pair
+#: the pairing could read) above which LeeBCH.min_weights refuses to sweep.
+#: The pairing reads only the pairs that can still beat the best weight, so
+#: this bounds the work from above: (13, 4) (4.1e8, nearly all class pairs)
+#: reads 61k pairs and takes about 0.01-0.02 s on 2 cores.  The slowest code
+#: below the guard, (17, 3) (2.5e8, mostly half codewords), takes 1.1-3 s, at
+#: 8e7 to 2.3e8 half codewords per second, so a sweep below the guard ends
+#: within about 6 s; (17, 2) is above
 SWEEP_GUARD = 5 * 10**8
 
 
@@ -93,7 +96,7 @@ class LeeBCH:
         """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords.
 
         Raises ValueError, before sweeping, when the sweep's work (the half
-        codewords it sweeps plus the overlap-class pairs it reads, see
+        codewords it sweeps plus the overlap-class pairs it could read, see
         :func:`kernels.sweep_work`) exceeds SWEEP_GUARD.  The work grows with
         p^(k/2) and, once the halves' overlap classes stop colliding, with
         p^k, so (13, 3) and (13, 2) are swept and (17, 2) is refused.

@@ -175,10 +175,19 @@ def _solve_root(f: WeightEnumerator, lam: float) -> tuple[float, float]:
     first one that leaves the bracket unchanged: the next midpoint, and so
     every later step, would be the same, so the root is the one all
     _BISECT_STEPS steps give.  A Newton polish follows.
+
+    The bracket starts at [ln 1e-30, 0], and each end moves out (t_lo
+    doubling, t_hi by ln 2) only while the root lies beyond it, so a root
+    inside the starting bracket comes out of the same bisection steps.
     """
     t_lo = math.log(1e-30)
     t_hi = 0.0
     guard = 0
+    while f.tilt_mean(t_lo) >= lam:
+        t_lo *= 2.0
+        guard += 1
+        if guard > 200:
+            raise ConvergenceError(f"no bracket for lambda={lam!r}")
     while f.tilt_mean(t_hi) <= lam:
         t_hi += LN2
         guard += 1

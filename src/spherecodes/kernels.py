@@ -6,8 +6,9 @@ one block assignment per row and ball weight), an exact integer Gram scan for
 word sets, a float pair scan that estimates square tiles of pairs by a BLAS
 Gram product and re-measures by the direct formula every pair that could be
 the minimum, and a meet-in-the-middle codeword weight sweep that pairs the
-overlap classes of the two message halves instead of their codewords.  Both
-pair scans walk the same tiles.
+overlap classes of the two message halves instead of their codewords, and
+only the pairs whose own-column weights leave room below the best weight
+found.  Both pair scans walk the same tiles.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -299,12 +300,12 @@ def _class_minima(gen, m, halve, own, p, tables, acc):
     (the head), each over all p^j values of the last j >= m digits (the
     tail), with p^j as large as SWEEP_BUDGET allows.  The p^j tail codewords
     are encoded once.  A column that no head row reaches weighs the same in
-    every block, and one that no tail row reaches is constant within a block,
-    so a block costs one read of the folded table (see
-    :func:`cyclic_min_weights`) per column that both reach, and one minimum
-    over its rows taken p^m at a time.  Memory: the p^m classes, one block
-    and the codewords of the heads, never an array over all p^deg overlap
-    values unless the classes fill it.
+    every block, and one that only head rows reach is constant within a
+    block, so a block costs one read per column that both reach, from a table
+    of length 2p - 1 that folds the reduction mod p into the unreduced sum of
+    a head and a tail residue, and one minimum over its rows taken p^m at a
+    time.  Memory: the p^m classes, one block and the codewords of the heads,
+    never an array over all p^deg overlap values unless the classes fill it.
     """
     k, n = gen.shape
     big = np.iinfo(acc).max
@@ -319,7 +320,7 @@ def _class_minima(gen, m, halve, own, p, tables, acc):
     top = (p + 1) // 2 if halve else p  # first nonzero digits swept are 1 .. top-1
     head_msgs = np.concatenate([[0], *(np.arange(p**e, top * p**e) for e in range(k - j))])
     heads = digits(head_msgs, p, k - j) @ head % p  # zero head first
-    fixed = np.take(tables, heads[:, own & ~by_tail], axis=1).sum(axis=2, dtype=acc)
+    fixed = np.take(tables, heads[:, own & by_head & ~by_tail], axis=1).sum(axis=2, dtype=acc)
     mixed = np.flatnonzero(own & by_head & by_tail)
     folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
     swept = np.zeros(p**j, dtype=bool)  # the tails swept behind the zero head
@@ -357,35 +358,59 @@ def _band_min_weights(gen, k_hi, deg, p, tables, acc):
     hi_keep, lo_keep = hi_least[0] < big, lo_least[0] < big
     hi_least, hi_dig = hi_least[:, hi_keep], hi_words[k_hi:, hi_keep].T
     lo_least, lo_dig = lo_least[:, lo_keep], lo_words[:deg, lo_keep].T
-    # a half alone: the high halves with l = 0 and the low halves with h = 0
+    # a half alone: the high halves with l = 0 and the low halves with h = 0,
+    # each also weighing table[0] per own column of the other, zero, half
+    t0 = tables[:, 0].tolist()
     best = [big, big]
-    for least, dig in ((hi_least, hi_dig), (lo_least, lo_dig)):
-        alone = least + np.take(tables, dig, axis=1).sum(axis=2, dtype=acc)
-        best = np.minimum(best, alone.min(axis=1, initial=big)).tolist()
-    folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
-    shift = np.arange(p)[:, None]
-    lo_rows = max(1, SWEEP_BUDGET // max(1, 2 * deg * p))
-    for v0 in range(0, lo_dig.shape[0], lo_rows):
-        vd = lo_dig[v0 : v0 + lo_rows]
-        right = lo_least[:, v0 : v0 + lo_rows]
-        # reads[w, j, a] = weight w of overlap column j over the low block
-        # when the high class holds a there
-        reads = np.take(folded, shift + vd.T[:, None, :], axis=1)
-        batch = max(1, SWEEP_BUDGET // vd.shape[0])
-        for u0 in range(0, hi_dig.shape[0], batch):
-            ud = hi_dig[u0 : u0 + batch]
-            for w in range(2):
-                s = hi_least[w, u0 : u0 + batch, None] + right[w][None, :]
-                for j in range(deg):
-                    s += reads[w, j, ud[:, j]]
-                best[w] = min(best[w], int(s.min()))
+    for least, dig, blank in ((hi_least, hi_dig, n - k_hi - deg), (lo_least, lo_dig, k_hi)):
+        if least.shape[1]:
+            alone = (least + np.take(tables, dig, axis=1).sum(axis=2, dtype=acc)).min(axis=1)
+            best = [min(b, a + blank * z) for b, a, z in zip(best, alone.tolist(), t0)]
+    if not lo_dig.shape[0]:  # k = 1: no low half to pair with
+        return best[0], best[1]
+    # sums[w, a, c] = weight w of the residue a + c mod p
+    residues = np.arange(p)
+    sums = np.take(tables, residues[:, None] + residues, axis=1, mode="wrap")
+    # a low class adds up row 0 of reads (below) and the rows 1 + deg a + j,
+    # a its value in overlap column j
+    picks = np.zeros((lo_dig.shape[0], deg + 1), dtype=np.intp)
+    picks[:, 1:] = 1 + deg * lo_dig + np.arange(deg)
+    hi_rows = max(1, SWEEP_BUDGET // (p * deg + 1))
+    for w in range(2):
+        hi_order = np.argsort(hi_least[w], kind="stable")
+        lo_order = np.argsort(lo_least[w], kind="stable")
+        hv, lv, lo_picks = hi_least[w, hi_order], lo_least[w, lo_order], picks[lo_order]
+        # the low classes in groups of equal own weight b, lightest first
+        weights, starts = np.unique(lv, return_index=True)
+        groups = list(zip(weights.tolist(), starts.tolist(), [*starts[1:].tolist(), lv.size]))
+        u0 = 0
+        # the high classes that the lightest group can still pair with
+        while u0 < (top := int(hv.searchsorted(best[w] - groups[0][0]))):
+            u1 = min(top, u0 + hi_rows)
+            # reads[0] holds the own weights of high classes u0 .. u1-1, and
+            # reads[1 + deg a + j] the weights of their overlap column j when
+            # the low class holds a there
+            reads = np.empty((1 + p * deg, u1 - u0), dtype=acc)
+            reads[0] = hv[u0:u1]
+            reads[1:] = sums[w][:, hi_dig[hi_order[u0:u1]].T].reshape(p * deg, u1 - u0)
+            for b, v0, v1 in groups:
+                # only the high classes lighter than best - b can lower best
+                while (cut := int(reads[0].searchsorted(best[w] - b))) and v0 < v1:
+                    vd = lo_picks[v0 : min(v1, v0 + max(1, SWEEP_BUDGET // ((deg + 1) * cut)))]
+                    s = reads[vd, :cut].sum(axis=1, dtype=acc)
+                    best[w] = min(best[w], b + int(s.min()))
+                    v0 += vd.shape[0]
+                if not cut:
+                    break  # and so do all heavier groups
+            u0 = u1
     return best[0], best[1]
 
 
 def sweep_work(p: int, k: int, deg: int) -> int:
     """The work of :func:`cyclic_min_weights` on k message digits over GF(p)
-    and a generator of degree deg: the half codewords it sweeps plus the
-    class pairs it reads."""
+    and a generator of degree deg: the half codewords it sweeps plus every
+    class pair it could read, so at least the work it does; the pruned
+    pairing reads only the pairs that can still beat the best weight."""
     k_hi = k - k // 2
     n_hi, n_lo = (p**k_hi - 1) // 2, p ** (k - k_hi) - 1
     return n_hi + n_lo + min(n_hi, p**deg) * min(n_lo, p**deg)
@@ -421,16 +446,24 @@ def cyclic_min_weights(
     columns (:func:`_class_minima`), and pairs classes instead of codewords.
     When k_hi <= deg and k//2 <= deg every class holds one codeword;
     otherwise the classes collide and there are at most p^deg of them.
-    :func:`sweep_work` counts the half codewords and class pairs.
+    :func:`sweep_work` counts the half codewords and bounds the class pairs.
 
-    Pairing: an overlap column holds a sum a + b of two residues, unreduced,
-    whose weight is read from a table of length 2p - 1 that folds in the
-    reduction mod p.  For each overlap column and value a of the high class,
-    the table reads over a block of low classes are taken once; a high class
-    then costs deg row gathers and deg + 1 additions over the block.  The
-    messages with l = 0 or h = 0 are the high or the low halves alone, each
-    its class minimum plus the weight of its overlap values; the zero message
-    is in neither half's classes.
+    Pairing, pruned by a lower bound: the tables are non-negative, so a pair
+    of classes weighs at least the sum of their two own-column minima, and a
+    pair whose bound reaches the best weight found cannot lower it (the stop
+    of Brouwer-Zimmermann; Grassl, "Searching for linear codes with large
+    minimum distance", 2006).  The best weight starts from the messages with
+    l = 0 or h = 0, the high or the low halves alone: each its class minimum
+    plus the weight of its overlap values and of the other half's zero own
+    columns; the zero message is in neither half's classes.  Per table, the
+    high classes are sorted by own weight and the low classes grouped by it,
+    lightest group first.  A group of own weight b meets only the high
+    classes lighter than best - b, a prefix of the sorted ones that shrinks
+    as best falls, and the sweep stops at the first group that no high class
+    can meet.  For each overlap column j and residue a, the weights of
+    a + (the high classes' value in column j) mod p are read once over the
+    prefix, so a block of low classes costs one gather of deg + 1 rows per
+    low class and a sum over them, within SWEEP_BUDGET elements.
 
     Negation keeps both weights, so only one message of each pair (m, -m)
     with h != 0 is swept: the high halves whose first nonzero digit is at

@@ -80,6 +80,16 @@ def test_gilbert_yaglom_rate_in_x(q, x):
     assert bounds.gilbert_yaglom_rate(q, x=x) == bounds.gilbert_yaglom_rate(q, math.exp(x))
 
 
+@pytest.mark.parametrize("q", [3, 7, 13])
+def test_gilbert_yaglom_rate_rises_toward_log2_q(q):
+    # down to x = -700, where lambda = a rho is near the smallest normal double
+    xs = [-1.0, -10.0, -50.0, -69.0, -80.0, -100.0, -200.0, -400.0, -700.0]
+    rates = [bounds.gilbert_yaglom_rate(q, x=x) for x in xs]
+    assert all(math.isfinite(r) for r in rates)
+    assert all(a <= b <= math.log2(q) for a, b in zip(rates, rates[1:]))
+    assert rates[-1] == pytest.approx(math.log2(q), abs=1e-12)
+
+
 def test_gilbert_yaglom_rate_domain():
     with pytest.raises(ValueError, match="exactly one"):
         bounds.gilbert_yaglom_rate(3)

@@ -88,6 +88,19 @@ def test_bounds_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_bounds_gilbert_yaglom_far_below_rho_1e_30(capsys):
+    # lambda = a rho drops below 1e-30 at x = -100, below the saddle root
+    # finder's starting bracket
+    code, out, _ = run_cli(
+        capsys, "bounds", "--kind", "gilbert_yaglom", "--q", "7", "--x-min", "-100",
+        "--x-max", "-1", "--samples", "3",
+    )
+    assert code == 0
+    rates = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+    assert len(rates) == 3
+    assert all(0.0 < r <= math.log2(7) for r in rates)
+
+
 def test_region_grid(capsys):
     code, out, _ = run_cli(
         capsys, "region", "--lambda", "0.98", "--x-min", "-1000", "--x-max", "-600",

@@ -188,10 +188,12 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
         kernels.cyclic_min_weights(g, code.k, code.n, 8, lee, lee)
 
 
-# exact minima of the codes past the brute-force family.  (11, 2) to (13, 6)
-# come from the chunked exhaustive sweep that the meet-in-the-middle sweeps
-# replaced; (13, 2) and (13, 3), past the guard of the ungrouped sweep, from
-# the overlap-class sweep.  Each of those two equals the 2t Lee floor of the
+# exact minima of the codes past the brute-force family.  (11, 2) to (11, 4)
+# and (13, 6) come from the chunked exhaustive sweep that the
+# meet-in-the-middle sweeps replaced; (13, 2) and (13, 3), past the guard of
+# the ungrouped sweep, from the overlap-class sweep; (13, 4) and (13, 5) from
+# the overlap-class sweep both with all class pairs read and with the pairs
+# pruned by their bound.  (13, 2) to (13, 4) equal the 2t Lee floor of the
 # family, and test_pinned_floor_minima_have_witnesses finds a codeword of 2t
 # entries +-1 that attains both weights
 _PINNED_MIN_WEIGHTS = {
@@ -200,6 +202,8 @@ _PINNED_MIN_WEIGHTS = {
     (11, 4): (8, 10),
     (13, 2): (4, 4),
     (13, 3): (6, 6),
+    (13, 4): (8, 8),
+    (13, 5): (10, 12),
     (13, 6): (12, 12),
 }
 
@@ -209,7 +213,7 @@ def test_lee_bch_min_weights_pinned(p, t):
     assert codes.lee_bch(p, t).min_weights() == _PINNED_MIN_WEIGHTS[(p, t)]
 
 
-@pytest.mark.parametrize("p,t", [(13, 2), (13, 3)])
+@pytest.mark.parametrize("p,t", [(13, 2), (13, 3), (13, 4)])
 def test_pinned_floor_minima_have_witnesses(p, t):
     # Lee weight >= 2t and Euclid >= Lee bound both minima from below, so a
     # codeword with 2t entries +-1 proves them; search the supports and signs
@@ -301,16 +305,22 @@ def _brute_min_weights(gen, p, tables):
 
 
 def _symmetric_table(data, p):
-    half = data.draw(st.lists(st.integers(0, 9), min_size=(p - 1) // 2, max_size=(p - 1) // 2))
-    return np.array([0, *half, *half[::-1]])
+    # table[0] may be positive, which the sweep accepts; mostly-zero tables
+    # leave many class pairs tied with the best weight at the pruning bound
+    zero = data.draw(st.one_of(st.just(0), st.integers(1, 9)), label="table[0]")
+    sparse = data.draw(st.booleans(), label="sparse")
+    entry = st.sampled_from([0, 0, 0, 1, 3]) if sparse else st.integers(0, 9)
+    half = data.draw(st.lists(entry, min_size=(p - 1) // 2, max_size=(p - 1) // 2))
+    return np.array([zero, *half, *half[::-1]])
 
 
 @settings(max_examples=120, deadline=None)
 @given(p=st.sampled_from([3, 5, 7]), deg=st.integers(1, 3), data=st.data())
 def test_class_sweep_matches_brute_force_property(p, deg, data):
     # random generator polynomials (g[0] == 0 included), message lengths
-    # with p^k <= 2e4 and random symmetric tables; k = 1 leaves the low half
-    # empty, k_hi > deg makes classes collide, k_hi <= deg keeps them single
+    # with p^k <= 2e4 and random symmetric tables (table[0] > 0 and mostly
+    # zero ones included); k = 1 leaves the low half empty, k_hi > deg makes
+    # classes collide, k_hi <= deg keeps them single
     k = data.draw(st.integers(1, int(math.log(2e4, p))), label="k")
     g = np.array([*data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)),
                   data.draw(st.integers(1, p - 1))])
@@ -340,7 +350,7 @@ def test_class_sweep_matches_brute_force_regimes(p, k, deg):
 
 
 @settings(max_examples=120, deadline=None)
-@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(1, 3), data=st.data())
+@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(0, 3), data=st.data())
 def test_band_sweep_matches_brute_force_property(p, deg, data):
     # random generators of the shape the sweep relies on: high rows zero
     # from column k_hi + deg on, low rows zero before column k_hi, and only

@@ -269,3 +269,19 @@ def test_solve_root_is_bit_identical_to_full_bisection(f):
     for frac in (1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999):
         lam = frac * f.w_max
         assert counting._solve_root(f, lam) == _solve_root_oracle(f, lam)
+
+
+def test_solve_root_pinned():
+    # roots inside the starting bracket [ln 1e-30, 0] keep their bits
+    f = enumerator(7)
+    assert counting._solve_root(f, 0.5) == (0.36861949290416257, 0.0)
+    assert counting._solve_root(f, 1e-9) == (5.000000005000012e-10, 2.274746684520826e-15)
+
+
+@pytest.mark.parametrize("lam", [1e-31, 1e-100, 1e-300])
+def test_solve_root_below_the_starting_bracket(lam):
+    f = enumerator(7)
+    assert f.tilt_mean(math.log(1e-30)) >= lam
+    mu, residual = counting._solve_root(f, lam)
+    assert residual <= 1e-12
+    assert 0.0 < mu < 1e-30
