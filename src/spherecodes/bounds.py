@@ -117,15 +117,36 @@ def gilbert_yaglom_rate(q: int, rho: float | None = None, *, x: float | None = N
 
     Valid while a*rho stays below the mean coordinate weight (above it the
     rate floor is 0 and the saddle solution is clamped).
+
+    For small rho the rate is log2(q) by a proven bound, in log form, so no
+    x is too small.  Every nonzero residue weighs at least 1, so
+    f(mu) <= 1 + (q-1) mu for mu <= 1, and the Chernoff bound gives, at
+    lambda = a rho and mu = lambda / (q-1),
+
+        exponent <= log2 f(mu) - lambda log2 mu
+                 <= lambda (1 + ln(q-1) - ln lambda) / ln 2.
+
+    Where that bound is below a quarter of the gap from log2(q) down to the
+    next double (half an ulp, with a factor 2 to spare for the rounding of
+    the bound itself), log2(q) - exponent rounds to log2(q).  This holds for
+    x below about -41 (q = 2) to -52 (q = 1000), where the saddle solution
+    gives log2(q) too; below x = -708, lambda is subnormal and the solver
+    cannot be used.
     """
     x = _resolve_x(rho, x)
     if x > 0.0:
         raise ValueError(f"rho must lie in (0, 1], got ln rho = {x!r}")
+    c = constellation(q)
+    top = math.log2(q)
+    ln_lam = math.log(c.a) + x
+    if ln_lam < 0.0:  # lambda < 1 <= q - 1, so mu <= 1
+        ln_bound = ln_lam + math.log(1.0 + math.log(q - 1) - ln_lam) - math.log(LN2)
+        if ln_bound < math.log((top - math.nextafter(top, 0.0)) / 4.0):
+            return top
     if rho is None:
         rho = math.exp(x)
-    c = constellation(q)
     sol = counting.saddle_solve(counting.enumerator(q), c.a * rho)
-    return math.log2(q) - sol.exponent
+    return top - sol.exponent
 
 
 @dataclass(frozen=True)

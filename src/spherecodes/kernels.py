@@ -2,13 +2,19 @@
 
 Each kernel has one numpy implementation: greedy selection by ball marking,
 batched by rows of the word mask (one scatter and one argmax per kept word,
-one block assignment per row and ball weight), an exact integer Gram scan for
-word sets, a float pair scan that estimates square tiles of pairs by a BLAS
-Gram product and re-measures by the direct formula every pair that could be
-the minimum, and a meet-in-the-middle codeword weight sweep that pairs the
-overlap classes of the two message halves instead of their codewords, and
-only the pairs whose own-column weights leave room below the best weight
-found.  Both pair scans walk the same tiles.
+one block assignment per row and run of high offsets of equal width), over
+half balls that are prefixes of half spaces sorted once per alphabet, length
+and table; a translate check of a word set's distance, which looks up each
+word's translates by the offsets of weight below the distance in a mask of
+the set, through high and low half translate tables; an exact integer Gram
+scan for word sets; a float pair scan that estimates square tiles of pairs
+by a BLAS Gram product and re-measures by the direct formula every pair that
+could be the minimum; and a meet-in-the-middle codeword weight sweep that
+pairs the overlap classes of the two message halves instead of their
+codewords, and only the pairs whose own-column weights leave room below the
+best weight found.  Both pair scans walk the same tiles.  The translate check
+shares no code with the greedy selection it checks, and the Gram scan is its
+cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -143,29 +149,40 @@ def shifted_generator(g, k: int, n: int) -> np.ndarray:
     return gen
 
 
-def _half_ball(q: int, m: int, radius: int, table: np.ndarray):
+@functools.lru_cache(maxsize=32)
+def _half_space(q: int, m: int, table: tuple[int, ...]):
+    """The words of Z_q^m as offsets, stably sorted by weight under ``table``.
+
+    Returns their weights and their digits (m x q^m, one column per offset).
+    Built once per (q, m, table): the offsets of weight <= r are a prefix, in
+    the order a stable sort of only those offsets gives.  The arrays are
+    read-only.
+    """
+    offs = digits(np.arange(q**m), q, m)
+    wt = np.asarray(table, dtype=np.int64)[offs].sum(axis=1)
+    order = np.argsort(wt, kind="stable")
+    out = wt[order], offs[order].T.copy()
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _half_ball(q: int, m: int, radius: int, table: tuple[int, ...]):
     """The offsets of weight <= radius in Z_q^m, sorted by weight.
 
     Returns their weights and a map from a word index w of Z_q^m to the
     indices of the translates (w + offset) mod q, in the same order.  With
     table[0] == 0 the zero offset comes first.
     """
-    total = q**m
-    rows = max(1, SWEEP_BUDGET // max(m, 1))
-    parts = []
-    for start in range(0, total, rows):
-        chunk = digits(np.arange(start, min(start + rows, total)), q, m)
-        parts.append(chunk[table[chunk].sum(axis=1) <= radius])
-    offs = np.concatenate(parts)
-    wt = table[offs].sum(axis=1)
-    order = np.argsort(wt, kind="stable")
-    offs_t = offs[order].T.copy()
+    wt, offs_t = _half_space(q, m, table)
+    size = int(wt.searchsorted(radius, side="right"))
+    offs_t = offs_t[:, :size]
     place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
     def translate(w: int) -> np.ndarray:
         return place @ (((w // place % q)[:, None] + offs_t) % q)
 
-    return wt[order], translate
+    return wt[:size], translate
 
 
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
@@ -186,13 +203,15 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     another row.  Kept words come in increasing order, so their rows never
     decrease, and the mask is marked one row at a time:
 
+    - the next row with a free index is found by one argmax over the flat
+      mask from the start of the row after the last one scanned;
     - inside row h, a kept low part l clears its translate by the low offsets
       of weight <= d-1, and the next candidate is the first free index after
       l: one scatter and one argmax per kept word;
     - when row h has no free index left, the translates of all its kept words
       are cleared from every other row at once, one rows x columns block per
-      weight u of the nonzero high offsets, with the low offsets of weight
-      <= d-1-u as columns.
+      run of nonzero high offsets whose weights u leave the same number of
+      low offsets of weight <= d-1-u as columns.
 
     The result is the one per-word marking gives.  When row h is scanned,
     every kept word of an earlier row has cleared its whole translate, and
@@ -202,34 +221,48 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     back from the mask, or in later rows, which are cleared before they are
     scanned.
 
-    Memory: the mask (q^n bytes), the two half balls, the low translates of
-    the distinct kept low parts (8 |B_lo| bytes each, B_lo the low offsets of
-    weight <= d-1, computed once each), the stacked translates of one row and
-    the K x n digits of the result.  Neither B nor a table of translates over
-    the word space is held.
+    Both half balls are prefixes of the half spaces sorted by weight, which
+    are built once per (q, half length, table) and shared by every d.
+
+    Memory: the mask (q^n bytes), the two sorted half spaces, the low
+    translates of the distinct kept low parts (8 |B_lo| bytes each, B_lo the
+    low offsets of weight <= d-1, computed once each), the stacked translates
+    of one row and the K x n digits of the result.  Neither B nor a table of
+    translates over the word space is held.
+
+    This is the construction; :func:`far_apart` checks its result and shares
+    no code with it.
     """
     total = q**n
     if d <= table[1:].min():  # every two distinct words are at weight >= d
         return digits(np.arange(total), q, n)
     n_lo = n // 2
     size_lo = q**n_lo
-    hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, table)
-    lo_wt, lo_translate = _half_ball(q, n_lo, d - 1, table)
+    key = tuple(np.asarray(table).tolist())
+    hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, key)
+    lo_wt, lo_translate = _half_ball(q, n_lo, d - 1, key)
     # the zero high offset comes first and keeps a translate in its row; every
     # other one, weight 0 included, moves it to another row
     weights, starts = np.unique(hi_wt[1:], return_index=True)
     starts += 1
     ends = np.append(starts[1:], hi_wt.size)
     widths = np.searchsorted(lo_wt, d - 1 - weights, side="right")
-    blocks = list(zip(starts.tolist(), ends.tolist(), widths.tolist()))
+    blocks: list[list[int]] = []  # neighbouring weights of equal width merged
+    for a, b, width in zip(starts.tolist(), ends.tolist(), widths.tolist()):
+        if blocks and blocks[-1][2] == width:
+            blocks[-1][1] = b
+        else:
+            blocks.append([a, b, width])
     lo_cache: dict[int, np.ndarray] = {}
     free = np.ones((total // size_lo, size_lo), dtype=bool)
+    flat = free.reshape(-1)
     kept = []
-    for h in range(free.shape[0]):
+    start = 0
+    while start < total:
+        h, l = divmod(start + int(flat[start:].argmax()), size_lo)
         row = free[h]
-        l = int(row.argmax())
         if not row[l]:
-            continue
+            break
         row_kept = []
         while True:
             row_kept.append(l)
@@ -245,7 +278,87 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
         cols = np.concatenate([lo_cache[l] for l in row_kept]).reshape(len(row_kept), -1)
         for a, b, width in blocks:
             free[rows[a:b, None], cols[:, :width].reshape(1, -1)] = False
+        start = (h + 1) * size_lo
     return digits(np.concatenate(kept), q, n)
+
+
+@functools.lru_cache(maxsize=32)
+def _offset_tables(q: int, n: int, table: tuple[int, ...]):
+    """The tables of :func:`far_apart` for words of Z_q^n under ``table``.
+
+    Returns the nonzero offsets of Z_q^n, one of each pair (o, -o), stably
+    sorted by weight (their weights, high parts and low parts), and the half
+    translate tables: ``hi[h, o]`` is q^(n//2) times the index of (h + o) mod q
+    in Z_q^(n - n//2), and ``lo[l, o]`` the index of (l + o) mod q in
+    Z_q^(n//2).  The arrays are read-only.
+    """
+    tab = np.asarray(table, dtype=np.int64)
+    halves = []
+    for m in (n - n // 2, n // 2):
+        words = digits(np.arange(q**m), q, m)
+        place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        trans = np.zeros((q**m, q**m), dtype=np.intp)
+        for j in range(m):
+            trans += (words[:, None, j] + words[:, j]) % q * place[j]
+        halves.append((tab[words].sum(axis=1), -words % q @ place, trans))
+    (hi_wt, hi_neg, hi_tr), (lo_wt, lo_neg, lo_tr) = halves
+    size_lo = lo_wt.size
+    wt = (hi_wt[:, None] + lo_wt).ravel()
+    neg = (hi_neg[:, None] * size_lo + lo_neg).ravel()
+    pick = np.flatnonzero(np.arange(wt.size) <= neg)[1:]  # offset 0 is its own negation
+    order = pick[np.argsort(wt[pick], kind="stable")]
+    out = wt[order], order // size_lo, order % size_lo, hi_tr * size_lo, lo_tr
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[bool, int]:
+    """Whether every two word rows are at difference weight >= d under the
+    symmetric per-residue ``table``, and the number of translates looked up.
+
+    An exact translate check: the verdict is ``min_dist_words(words, table,
+    q) >= d``.  The weight of u - v is translation invariant, so the set is
+    at weight >= d exactly when no word plus a nonzero offset o of weight
+    <= d-1 is a word of the set, and equal words (weight n table[0]) are not
+    closer than d.  With table[r] == table[-r mod q], o and -o weigh the same
+    and find the same pairs, so one of each pair is looked up.
+
+    The word indices are marked in a q^n boolean mask.  The offsets of Z_q^n
+    are tabled once per (q, n, table), sorted by weight, so the offsets of
+    weight <= d-1 are a prefix.  The index of w + o is read from two half
+    translate tables, one for the high digits and one for the low ones, so a
+    block of words costs one gather per half and one of the mask, within
+    SWEEP_BUDGET translates, and the check stops at the first block that
+    meets the set.  Memory: the mask, the q^n offsets and two half tables of
+    q^(2 (n - n//2)) and q^(2 (n//2)) indices.
+
+    This is a check of :func:`greedy_lex` and shares no code with it;
+    :func:`min_dist_words`, a pairwise scan, is its cross-check.  Raises
+    ValueError for a table that is not symmetric.
+    """
+    tab = np.asarray(table, dtype=np.int64)
+    if not np.array_equal(tab, tab[-np.arange(q) % q]):
+        raise ValueError("the translate check needs a table with table[r] == table[-r mod q]")
+    w = np.asarray(words, dtype=np.int64)
+    m, n = w.shape
+    wt, oh, ol, hi_tr, lo_tr = _offset_tables(q, n, tuple(tab.tolist()))
+    index = w @ q ** np.arange(n - 1, -1, -1)
+    mask = np.zeros(q**n, dtype=bool)
+    mask[index] = True
+    if np.count_nonzero(mask) < m and n * int(tab[0]) <= d - 1:
+        return False, 0  # a repeated word
+    size = int(wt.searchsorted(d - 1, side="right"))
+    oh, ol = oh[:size], ol[:size]
+    hi, lo = np.divmod(index, lo_tr.shape[0])
+    rows = max(1, SWEEP_BUDGET // max(size, 1))
+    looked = 0
+    for s in range(0, m if size else 0, rows):
+        translates = hi_tr[hi[s : s + rows, None], oh] + lo_tr[lo[s : s + rows, None], ol]
+        looked += translates.size
+        if mask[translates].any():
+            return False, looked
+    return True, looked
 
 
 def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:

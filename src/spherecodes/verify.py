@@ -286,11 +286,12 @@ def _lee_floors(seed: int):
 
 
 @_criterion(
-    "gilbert", "greedy size >= ceil(q^n / V(n, q, d-1)) for q <= 5, n <= 6"
+    "gilbert", "greedy size >= ceil(q^n / V(n, q, d-1)), distance >= d, for q <= 5, n <= 6"
 )
 def _gilbert(seed: int):
     runs = 0
     checked = 0
+    translates = 0
     bad: list[str] = []
     for q in range(2, 6):
         c = euclid.constellation(q)
@@ -306,19 +307,16 @@ def _gilbert(seed: int):
                     bad.append(f"q={q} n={n} d={d}: {words.shape[0]} < {need}")
                 elif words.shape[0] >= 2:
                     checked += 1
-                    if d == 1:
-                        # weight 0 only between equal words: distinct word indices suffice
-                        index = words @ q ** np.arange(n)
-                        far = np.unique(index).size == index.size
-                    else:
-                        far = euclid.min_sq_distance(words, c) >= d
+                    far, looked = kernels.far_apart(words, q, c.euclid_table, d)
+                    translates += looked
                     if not far:
                         bad.append(f"q={q} n={n} d={d}: min distance below d")
     if bad:
         return False, ["; ".join(bad[:5])]
     return True, [
         f"{runs} (q, n, d) greedy runs, size bound checked on all, "
-        f"min distance on the {checked} sets of at least 2 words"
+        f"min distance on the {checked} sets of at least 2 words "
+        f"by translate tables ({translates} translates)"
     ]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spherecodes import bounds
+from spherecodes import bounds, counting, euclid
 
 LN2 = math.log(2.0)
 
@@ -88,6 +88,28 @@ def test_gilbert_yaglom_rate_rises_toward_log2_q(q):
     assert all(math.isfinite(r) for r in rates)
     assert all(a <= b <= math.log2(q) for a, b in zip(rates, rates[1:]))
     assert rates[-1] == pytest.approx(math.log2(q), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 13, 1000])
+def test_gilbert_yaglom_rate_reaches_log2_q_in_log_form(q):
+    # past x = -708 lambda = a e^x is subnormal, past -745 it is 0.0; the
+    # rate stays finite, never falls as x falls, and is log2 q at the far end
+    xs = [-1.0, -20.0, -40.0, -45.0, -60.0, -700.0, -708.5, -720.0, -800.0, -1e4, -1e300]
+    rates = [bounds.gilbert_yaglom_rate(q, x=x) for x in xs]
+    assert all(math.isfinite(r) for r in rates)
+    assert all(a <= b <= math.log2(q) for a, b in zip(rates, rates[1:]))
+    assert rates[-1] == math.log2(q)
+    assert rates[0] < math.log2(q)
+
+
+def test_gilbert_yaglom_rate_keeps_the_solver_value_near_the_switch():
+    # about where the bound takes over (x near -43 for q = 7), the saddle
+    # solution already rounds to log2 q; above it the solver is used
+    a = euclid.constellation(7).a
+    f = counting.enumerator(7)
+    for x in [-42.0, -42.5, -43.0, -43.5, -44.0, -60.0]:
+        solved = math.log2(7) - counting.saddle_solve(f, a * math.exp(x)).exponent
+        assert bounds.gilbert_yaglom_rate(7, x=x) == solved
 
 
 def test_gilbert_yaglom_rate_domain():

@@ -101,6 +101,20 @@ def test_bounds_gilbert_yaglom_far_below_rho_1e_30(capsys):
     assert all(0.0 < r <= math.log2(7) for r in rates)
 
 
+@pytest.mark.parametrize("x_min", ["-720", "-10000"])
+def test_bounds_gilbert_yaglom_below_the_smallest_normal_lambda(capsys, x_min):
+    # lambda = a e^x is subnormal below x = -708 and 0.0 below about -745
+    code, out, err = run_cli(
+        capsys, "bounds", "--kind", "gilbert_yaglom", "--q", "7", "--x-min", x_min,
+        "--x-max", "-1", "--samples", "3",
+    )
+    assert code == 0, err
+    rates = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+    assert len(rates) == 3
+    assert rates[0] == rates[1] == math.log2(7)
+    assert 0.0 < rates[2] < math.log2(7)
+
+
 def test_region_grid(capsys):
     code, out, _ = run_cli(
         capsys, "region", "--lambda", "0.98", "--x-min", "-1000", "--x-max", "-600",
@@ -405,6 +419,38 @@ def test_gilbert_criterion_checks_the_largest_set(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] gilbert" in out
     assert "q=5 n=6 d=1: min distance below d" in out
+
+
+def test_gilbert_criterion_checks_distance_at_d_2(capsys, monkeypatch):
+    # the last word of the (5, 6, 2) set moved to weight 1 from the first
+    # word: the size stays at the bound, the distance drops below d
+    from spherecodes import codes
+
+    greedy = codes.greedy_gilbert
+
+    def tampered(q, n, d):
+        words = greedy(q, n, d)
+        if (q, n, d) == (5, 6, 2):
+            words[-1] = words[0]
+            words[-1, -1] = (words[-1, -1] + 1) % q
+        return words
+
+    monkeypatch.setattr(codes, "greedy_gilbert", tampered)
+    code, out, _ = run_cli(capsys, "verify", "--only", "gilbert")
+    assert code == 1
+    assert "[FAIL] gilbert" in out
+    assert "q=5 n=6 d=2: min distance below d" in out
+
+
+def test_gilbert_criterion_counts_its_translates(capsys):
+    # the work of the distance check is exact and repeats
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "verify", "--only", "gilbert")
+        assert code == 0
+        assert (
+            "min distance on the 210 sets of at least 2 words "
+            "by translate tables (1062263 translates)" in out
+        )
 
 
 def test_verify_unknown_key(capsys):

@@ -106,6 +106,29 @@ def test_greedy_kernel_matches_pairwise_oracle_property(q, n, d, data):
     assert words.tolist() == _greedy_oracle(q, n, d, table)
 
 
+# neighbouring high weights whose low widths are equal share one block:
+# (5, 4, 9) high weights 1 and 2, (4, 5, 9) 1-3 and 5-6, (3, 5, 7) all three,
+# (4, 6, 12) 1-2 and 4-5
+@pytest.mark.parametrize("q,n,d", [(5, 4, 9), (4, 5, 9), (3, 5, 7), (4, 6, 12)])
+def test_greedy_merged_blocks_match_pairwise_oracle(q, n, d):
+    table = euclid.constellation(q).euclid_table
+    words = kernels.greedy_lex(q, n, d, table)
+    assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
+
+
+def test_greedy_half_spaces_are_kept_per_table():
+    # one (q, half length) under three tables in one process, each twice:
+    # the sorted half spaces are shared by every d, never across tables
+    q, n = 5, 4
+    c = euclid.constellation(q)
+    tables = [c.euclid_table, c.lee_table, np.array([0, 1, 4, 2, 3])]
+    for _ in range(2):
+        for table in tables:
+            for d in (2, 4):
+                words = kernels.greedy_lex(q, n, d, table)
+                assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
+
+
 @pytest.mark.parametrize("q,n,d", [(3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2)])
 def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
     # the mask takes q^n bytes and the result K x n int64 digits; a table of

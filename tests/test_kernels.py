@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spherecodes import kernels
+from spherecodes import codes, euclid, kernels
 
 
 def _min_sq_dist_oracle(points):
@@ -134,3 +137,82 @@ def test_min_sq_dist_real_candidates_stay_within_a_tile(monkeypatch):
 def test_min_sq_dist_real_rejects_overflowing_norms():
     with pytest.raises(ValueError, match="overflow"):
         kernels.min_sq_dist_real(np.array([[1e160, 0.0], [1e160, 1.0]]))
+
+
+# -- translate check ------------------------------------------------------------
+
+
+def _symmetric(q, half):
+    # table[r] == table[-r mod q], with table[0] == 0
+    return np.array([0] + [half[min(r, q - r) - 1] for r in range(1, q)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_far_apart_matches_the_pairwise_scan_property(data):
+    # random word subsets of Z_q^n (repeats included), random d and random
+    # symmetric tables, zero entries included
+    q = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(1, int(math.log(4096) / math.log(q) + 1e-9)))
+    half = data.draw(st.lists(st.integers(0, 6), min_size=q // 2, max_size=q // 2))
+    table = _symmetric(q, half)
+    index = data.draw(st.lists(st.integers(0, q**n - 1), max_size=60))
+    if data.draw(st.booleans()) and index:
+        index.append(index[0])
+    words = kernels.digits(np.array(index, dtype=np.int64), q, n)
+    d = data.draw(st.integers(0, n * 6 + 1))
+    far, looked = kernels.far_apart(words, q, table, d)
+    assert far == (kernels.min_dist_words(words, table, q) >= d)
+    assert looked >= 0
+
+
+@pytest.mark.parametrize("budget", [1, 12, 1 << 20])
+def test_far_apart_stops_at_the_block_that_meets_the_set(monkeypatch, budget):
+    # d = 2 looks up the 4 unit offsets +e_j of each word, in blocks of one
+    # word (budget 1), of three (12) or of all of them
+    monkeypatch.setattr(kernels, "SWEEP_BUDGET", budget)
+    q, n = 5, 4
+    table = _symmetric(q, [1, 4])
+    words = kernels.greedy_lex(q, n, 3, table)
+    m = words.shape[0]
+    assert kernels.far_apart(words, q, table, 3)[0]
+    assert kernels.far_apart(words, q, table, 2) == (True, 4 * m)
+    close = np.vstack([words, words[-1]])
+    close[-1, 0] = (close[-1, 0] + 1) % q  # the last word plus e_0
+    assert kernels.min_dist_words(close, table, q) == 1
+    far, looked = kernels.far_apart(close, q, table, 2)
+    assert not far
+    # the block of word m - 1 is the first to meet the set
+    assert looked == {1: 4 * m, 1 << 20: 4 * (m + 1)}.get(budget, looked)
+    assert 4 * m <= looked <= 4 * (m + 1)
+    assert kernels.far_apart(close, q, table, 1) == (True, 0)
+
+
+def test_far_apart_agrees_on_every_gilbert_set():
+    # the 210 sets of the gilbert criterion, at d (all far apart) and at
+    # d + 1 (some not)
+    closer = 0
+    for q in range(2, 6):
+        c = euclid.constellation(q)
+        for n in range(1, 7):
+            for d in range(1, n * c.a_int + 1):
+                words = codes.greedy_gilbert(q, n, d)
+                if words.shape[0] < 2:
+                    continue
+                least = kernels.min_dist_words(words, c.euclid_table, q)
+                for dd in (d, d + 1):
+                    assert kernels.far_apart(words, q, c.euclid_table, dd)[0] == (least >= dd)
+                closer += least < d + 1
+    assert closer > 0
+
+
+def test_far_apart_rejects_an_asymmetric_table():
+    words = np.array([[0, 0], [1, 2]])
+    with pytest.raises(ValueError, match="table\\[-r mod q\\]"):
+        kernels.far_apart(words, 5, np.array([0, 1, 4, 2, 3]), 2)
+
+
+def test_far_apart_without_a_pair():
+    table = _symmetric(3, [1])
+    assert kernels.far_apart(np.zeros((0, 3), dtype=np.int64), 3, table, 5) == (True, 0)
+    assert kernels.far_apart(np.array([[1, 2, 0]]), 3, table, 5)[0]
