@@ -97,8 +97,9 @@ class WeightEnumerator:
         return float((w * w * terms).sum()) / tot - mean * mean
 
 
+@functools.lru_cache(maxsize=64)
 def enumerator(q: int) -> WeightEnumerator:
-    """Difference-weight enumerator of Z_q."""
+    """Difference-weight enumerator of Z_q, built once per q."""
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     counts: dict[int, int] = {0: 1}

@@ -1,20 +1,22 @@
 """Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
 
-Each kernel has one numpy implementation: greedy selection by ball marking,
-batched by rows of the word mask (one scatter and one argmax per kept word,
-one block assignment per row and run of high offsets of equal width), over
-half balls that are prefixes of half spaces sorted once per alphabet, length
-and table; a translate check of a word set's distance, which looks up each
-word's translates by the offsets of weight below the distance in a mask of
-the set, through high and low half translate tables; an exact integer Gram
-scan for word sets; a float pair scan that estimates square tiles of pairs
-by a BLAS Gram product and re-measures by the direct formula every pair that
-could be the minimum; and a meet-in-the-middle codeword weight sweep that
-pairs the overlap classes of the two message halves instead of their
-codewords, and only the pairs whose own-column weights leave room below the
-best weight found.  Both pair scans walk the same tiles.  The translate check
-shares no code with the greedy selection it checks, and the Gram scan is its
-cross-check.
+Each kernel has one implementation: greedy selection by ball marking on a
+mask of Python-int bit rows, one row per high half of a word index (the next
+word kept is a row's lowest set bit, and a finished row's translates are
+cleared by one OR per run of high offsets of equal width and one AND per
+later row), whose half balls are prefixes of half spaces sorted once per
+alphabet, length and table; a translate check of a word set's
+distance, which looks up each word's translates by the offsets of weight
+below the distance in a mask of the set, through high and low half translate
+tables; an exact integer Gram scan for word sets; a float pair scan that
+estimates square tiles of pairs by a BLAS Gram product and re-measures by
+the direct formula every pair that could be the minimum; and a
+meet-in-the-middle codeword weight sweep that pairs the overlap classes of
+the two message halves instead of their codewords, and only the pairs whose
+own-column weights leave room below the best weight found.  All but the
+greedy mask are numpy.  Both pair scans walk the same tiles.  The translate
+check shares no code with the greedy selection it checks, and the Gram scan
+is its cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -167,22 +169,52 @@ def _half_space(q: int, m: int, table: tuple[int, ...]):
     return out
 
 
-def _half_ball(q: int, m: int, radius: int, table: tuple[int, ...]):
-    """The offsets of weight <= radius in Z_q^m, sorted by weight.
+@functools.lru_cache(maxsize=64)
+def _split_tables(q: int, m: int, table: tuple[int, ...], cols: int):
+    """Split translate tables for the first ``cols`` offsets of the sorted
+    half space Z_q^m (:func:`_half_space`).
 
-    Returns their weights and a map from a word index w of Z_q^m to the
-    indices of the translates (w + offset) mod q, in the same order.  With
-    table[0] == 0 the zero offset comes first.
+    Returns ``a`` and ``b`` such that, for the k-th offset o_k and s =
+    q^(m//2), the index of (w + o_k) mod q is ``a[w // s, k] + b[w % s, k]``:
+    ``a`` holds the first m - m//2 digits of the translate (times s) and
+    ``b`` the last m//2.  The arrays are read-only.
     """
-    wt, offs_t = _half_space(q, m, table)
-    size = int(wt.searchsorted(radius, side="right"))
-    offs_t = offs_t[:, :size]
+    offs = _half_space(q, m, table)[1][:, :cols]
     place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    dtype = np.int32 if q**m <= np.iinfo(np.int32).max else np.int64
+    out = []
+    for part in (np.arange(m - m // 2), np.arange(m - m // 2, m)):
+        t = np.zeros((q**part.size, cols), dtype=dtype)
+        step = np.empty_like(t)
+        for col, j in zip(digits(np.arange(q**part.size), q, part.size).T, part):
+            np.add(col[:, None], offs[j], out=step)
+            step %= q
+            step *= place[j]
+            t += step
+        t.flags.writeable = False
+        out.append(t)
+    return tuple(out)
 
-    def translate(w: int) -> np.ndarray:
-        return place @ (((w // place % q)[:, None] + offs_t) % q)
 
-    return wt[:size], translate
+def _translates(q: int, m: int, table: tuple[int, ...], start: int, stop: int, budget: int):
+    """A map from a word index w of Z_q^m to the indices of its translates by
+    the offsets ``start:stop`` of the sorted half space, in that order.
+
+    They are read from split tables (:func:`_split_tables`) that cover the
+    first ``stop`` offsets rounded up to a power of two, when those tables
+    hold at most ``budget`` entries; else each call computes them from the
+    digits of w and of the offsets.  The rounding lets the tables serve
+    several d, and keeps the tables cached for one half space within twice
+    the largest.
+    """
+    cols = min(q**m, 1 << (stop - 1).bit_length())
+    if (q ** (m - m // 2) + q ** (m // 2)) * cols <= budget:
+        a, b = (t[:, start:stop] for t in _split_tables(q, m, table, cols))
+        s = b.shape[0]
+        return lambda w: a[w // s] + b[w % s]
+    offs = _half_space(q, m, table)[1][:, start:stop]
+    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return lambda w: place @ (((w // place % q)[:, None] + offs) % q)
 
 
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
@@ -197,38 +229,43 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     word kept is the first free one.
 
     A word index splits into a high part h (the first n - n//2 digits) and a
-    low part l, and the mask is a q^(n - n//2) x q^(n//2) matrix with one row
-    per h.  The translate (w + B) mod q meets the row of w only through the
-    zero high offset; every other high offset, weight 0 included, moves it to
-    another row.  Kept words come in increasing order, so their rows never
-    decrease, and the mask is marked one row at a time:
+    low part l, and the mask is one Python int per h, a row of q^(n//2) bits
+    with bit l set while the word is free.  Let M(l, width) be the bits of
+    the translates of l by the first ``width`` low offsets in weight order.
+    Then (w + B) mod q, for w = (h, l), is M(l, width(u)) in the row of
+    (h + o) mod q for each high offset o of weight u <= d-1, width(u) being
+    the number of low offsets of weight <= d-1-u.  The zero high offset
+    comes first and keeps the translate in the row of w; every other one,
+    weight 0 included, moves it to another row.  Kept words come in
+    increasing order, so their rows never decrease, and the mask is marked
+    one row at a time:
 
-    - the next row with a free index is found by one argmax over the flat
-      mask from the start of the row after the last one scanned;
-    - inside row h, a kept low part l clears its translate by the low offsets
-      of weight <= d-1, and the next candidate is the first free index after
-      l: one scatter and one argmax per kept word;
-    - when row h has no free index left, the translates of all its kept words
-      are cleared from every other row at once, one rows x columns block per
-      run of nonzero high offsets whose weights u leave the same number of
-      low offsets of weight <= d-1-u as columns.
+    - inside row h, the next word kept is the lowest set bit, and keeping l
+      clears M(l, width(0)) from the row;
+    - when row h has no set bit left, the M(l, width) of its kept words are
+      ORed once per run of nonzero high offsets of equal width, and the
+      complement is ANDed into each row of the run that comes after h.
 
     The result is the one per-word marking gives.  When row h is scanned,
-    every kept word of an earlier row has cleared its whole translate, and
-    what a word of row h clears in row h itself is cleared as it is kept;
-    what it clears elsewhere lies in rows already scanned, where it changes
-    nothing because the kept words are recorded as they are chosen, not read
-    back from the mask, or in later rows, which are cleared before they are
-    scanned.
+    every kept word of an earlier row has cleared its translate from every
+    later row, and what a word of row h clears in row h itself is cleared as
+    it is kept.  What it would clear in a row already scanned changes
+    nothing, because the kept words are recorded as they are chosen, not read
+    back from the mask, so those rows are skipped.
 
-    Both half balls are prefixes of the half spaces sorted by weight, which
-    are built once per (q, half length, table) and shared by every d.
+    Both half balls are prefixes of the half spaces sorted by weight
+    (:func:`_half_space`), which are built once per (q, half length, table)
+    and shared by every d.  The translates of a row by the high ball, and of
+    a low part by the low ball, are read from split tables of the ball's
+    columns (:func:`_translates`) while the tables of each half hold at most
+    q^n / 8 entries (half a byte per word) or 4096; a wider ball has its
+    translates computed from digits, once per row or low part.
 
-    Memory: the mask (q^n bytes), the two sorted half spaces, the low
-    translates of the distinct kept low parts (8 |B_lo| bytes each, B_lo the
-    low offsets of weight <= d-1, computed once each), the stacked translates
-    of one row and the K x n digits of the result.  Neither B nor a table of
-    translates over the word space is held.
+    Memory: the mask (q^n bits, and a list slot per row: 8 bytes per word
+    when n = 1), the split tables within that budget, the masks M(l, width)
+    of the kept low parts, the kept words (one array per row) and the K x n
+    digits of the result.  Neither B nor a table of translates over the word
+    space is held.
 
     This is the construction; :func:`far_apart` checks its result and shares
     no code with it.
@@ -236,49 +273,57 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     total = q**n
     if d <= table[1:].min():  # every two distinct words are at weight >= d
         return digits(np.arange(total), q, n)
-    n_lo = n // 2
-    size_lo = q**n_lo
+    size_lo = q ** (n // 2)
     key = tuple(np.asarray(table).tolist())
-    hi_wt, hi_translate = _half_ball(q, n - n_lo, d - 1, key)
-    lo_wt, lo_translate = _half_ball(q, n_lo, d - 1, key)
-    # the zero high offset comes first and keeps a translate in its row; every
-    # other one, weight 0 included, moves it to another row
-    weights, starts = np.unique(hi_wt[1:], return_index=True)
-    starts += 1
-    ends = np.append(starts[1:], hi_wt.size)
-    widths = np.searchsorted(lo_wt, d - 1 - weights, side="right")
-    blocks: list[list[int]] = []  # neighbouring weights of equal width merged
-    for a, b, width in zip(starts.tolist(), ends.tolist(), widths.tolist()):
-        if blocks and blocks[-1][2] == width:
-            blocks[-1][1] = b
-        else:
-            blocks.append([a, b, width])
-    lo_cache: dict[int, np.ndarray] = {}
-    free = np.ones((total // size_lo, size_lo), dtype=bool)
-    flat = free.reshape(-1)
+    hi_wt = _half_space(q, n - n // 2, key)[0]
+    lo_wt = _half_space(q, n // 2, key)[0]
+    hi_ball = int(hi_wt.searchsorted(d - 1, side="right"))
+    # widths[0] is width(0), for the kept word's own row; run (k, a, b) holds
+    # the translates targets[a:b] by nonzero high offsets of width widths[k]
+    # (the widths fall as the high weights rise, so equal widths are
+    # neighbours)
+    ball_widths = lo_wt.searchsorted(d - 1 - hi_wt[:hi_ball], side="right")
+    neg_widths, starts = np.unique(-ball_widths[1:], return_index=True)
+    widths = np.concatenate([ball_widths[:1], -neg_widths])
+    runs = list(zip(range(1, widths.size), starts.tolist(), [*starts[1:].tolist(), hi_ball - 1]))
+    # the tables of each half take at most half a byte per word, or 16 kB
+    budget = max(total // 8, 1 << 12)
+    hi_translates = _translates(q, n - n // 2, key, 1, hi_ball, budget)
+    lo_translates = _translates(q, n // 2, key, 0, int(widths[0]), budget)
+    order = np.arange(widths[0])
+    nbytes = -(-size_lo // 8)
+
+    def lo_masks(l: int) -> list[int]:
+        # M(l, width) for every width: a low word is in M(l, width) when the
+        # offset that takes l to it comes before ``width`` in weight order
+        rank = np.full(size_lo, widths[0])
+        rank[lo_translates(l)] = order
+        buf = np.packbits(rank < widths[:, None], axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+    masks: list[list[int] | None] = [None] * size_lo
+    rows = [(1 << size_lo) - 1] * (total // size_lo)
     kept = []
-    start = 0
-    while start < total:
-        h, l = divmod(start + int(flat[start:].argmax()), size_lo)
-        row = free[h]
-        if not row[l]:
-            break
+    for h, row in enumerate(rows):
+        if not row:
+            continue
         row_kept = []
-        while True:
+        while row:
+            l = (row & -row).bit_length() - 1
             row_kept.append(l)
-            tr = lo_cache.get(l)
-            if tr is None:
-                tr = lo_cache[l] = lo_translate(l)
-            row[tr] = False
-            l += int(row[l:].argmax())  # l itself was just cleared
-            if not row[l]:
-                break
+            if masks[l] is None:
+                masks[l] = lo_masks(l)
+            row &= ~masks[l][0]
         kept.append(h * size_lo + np.array(row_kept))
-        rows = hi_translate(h)
-        cols = np.concatenate([lo_cache[l] for l in row_kept]).reshape(len(row_kept), -1)
-        for a, b, width in blocks:
-            free[rows[a:b, None], cols[:, :width].reshape(1, -1)] = False
-        start = (h + 1) * size_lo
+        targets = hi_translates(h).tolist()
+        for k, a, b in runs:
+            clear = 0
+            for l in row_kept:
+                clear |= masks[l][k]
+            clear = ~clear
+            for t in targets[a:b]:
+                if t > h:  # rows up to h are scanned already
+                    rows[t] &= clear
     return digits(np.concatenate(kept), q, n)
 
 

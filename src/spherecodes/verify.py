@@ -377,18 +377,15 @@ def _envelope_figure(seed: int):
         # domain: x < c and tau = (1-x) e^c / 8 < 1
         x_left = 1.0 - 8.0 * math.exp(-c) * 0.9
         xs = np.linspace(max(x_left, -60_000.0), c - 1.0, 600)
-        good = [
-            float(x)
-            for x in xs
-            if bounds.envelope_point(float(x), c).rate > lam * bounds.shannon_rate(x=float(x))
-        ]
+        good = []  # (x, margin) wherever the envelope wins
+        for x in map(float, xs):
+            env, scaled = bounds.envelope_point(x, c).rate, lam * bounds.shannon_rate(x=x)
+            if env > scaled:
+                good.append((x, env - scaled))
         if good:
-            margin = max(
-                bounds.envelope_point(x, c).rate - lam * bounds.shannon_rate(x=x)
-                for x in good
-            )
+            margin = max(m for _, m in good)
             if best is None or margin > best[3]:
-                best = (c, min(good), max(good), margin)
+                best = (c, min(x for x, _ in good), max(x for x, _ in good), margin)
     if best is None:
         return False, []
     c, x_lo, x_hi, margin = best

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -53,12 +54,21 @@ def _greedy_oracle(q, n, d, table):
 
 # odd and even q, d = 1, d above n * a_int (one word kept), n = 1 (no low
 # half), odd n (unequal halves); n = 2 and the odd-n cases at d = 2 keep
-# several words per row of the mask
+# several words per row of the mask.  Many high offsets of the ball move a
+# translate to a row scanned before the kept word's in (3, 7, 5) (all 81 high
+# words are in the high ball), (3, 8, 4) (65 of 81) and (2, 10, 3) (16 of
+# 32).  A mask row holds q^(n//2) bits: one (n = 1), a width that is not a
+# multiple of 8 (3, 5, 7, 9, 25, 27, 49) or whole bytes (8, 16, 64).  The
+# balls of (20, 3, 40) (high half) and (13, 4, 50) (both halves) are too wide
+# for split translate tables, so their translates are computed from digits.
 @pytest.mark.parametrize(
     "q,n,d",
     [(2, 3, 1), (2, 5, 2), (3, 4, 3), (3, 3, 4), (4, 3, 4), (4, 3, 13), (5, 3, 6),
      (5, 4, 2), (6, 2, 5), (7, 1, 5), (3, 5, 5), (5, 2, 2), (7, 2, 2), (3, 5, 2),
-     (4, 5, 2), (5, 3, 2)],
+     (4, 5, 2), (5, 3, 2), (3, 7, 5), (3, 8, 4), (2, 10, 3), (2, 1, 2), (3, 1, 2),
+     (5, 1, 2), (5, 1, 5), (7, 1, 10), (3, 2, 2), (5, 2, 4), (7, 3, 5), (3, 4, 2),
+     (5, 4, 5), (3, 6, 3), (7, 4, 9), (2, 6, 2), (2, 8, 3), (4, 6, 5), (20, 3, 40),
+     (13, 4, 50)],
 )
 def test_greedy_matches_pairwise_oracle(q, n, d):
     c = euclid.constellation(q)
@@ -116,6 +126,42 @@ def test_greedy_merged_blocks_match_pairwise_oracle(q, n, d):
     assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
 
 
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (5, 2), (6, 2), (7, 1), (4, 0)])
+def test_greedy_translate_tables_match_digits(q, m):
+    # the split tables and the digit formula give the same translates, and
+    # both are the index of (w + o) mod q for the sorted offsets o
+    key = tuple(euclid.constellation(q).euclid_table.tolist())
+    offs = kernels._half_space(q, m, key)[1]
+    size = q**m
+    for start, stop in ((0, size), (1, max(1, size // 3))):
+        tables = kernels._translates(q, m, key, start, stop, budget=size * (size + 2))
+        by_digits = kernels._translates(q, m, key, start, stop, budget=0)
+        for w, word in enumerate(itertools.product(range(q), repeat=m)):
+            want = [
+                sum((a + o) % q * q ** (m - 1 - j) for j, (a, o) in enumerate(zip(word, col)))
+                for col in offs.T[start:stop].tolist()
+            ]
+            assert tables(w).tolist() == by_digits(w).tolist() == want
+
+
+def test_gilbert_criterion_sets_are_pinned():
+    # the 210 greedy sets of the gilbert criterion, in its order, as int64
+    # bytes, pinned from the boolean-mask kernel that the bit rows replaced:
+    # a change to any set shows here
+    digest = hashlib.sha256()
+    runs = words = 0
+    for q in range(2, 6):
+        c = euclid.constellation(q)
+        for n in range(1, 7):
+            for d in range(1, n * c.a_int + 1):
+                found = codes.greedy_gilbert(q, n, d)
+                digest.update(found.astype(np.int64).tobytes())
+                runs += 1
+                words += found.shape[0]
+    assert (runs, words) == (210, 38420)
+    assert digest.hexdigest() == "79b2ae1d7add86d1098ba038c5121129320860a32f83c5f09fab34747fcccc03"
+
+
 def test_greedy_half_spaces_are_kept_per_table():
     # one (q, half length) under three tables in one process, each twice:
     # the sorted half spaces are shared by every d, never across tables
@@ -129,10 +175,14 @@ def test_greedy_half_spaces_are_kept_per_table():
                 assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
 
 
-@pytest.mark.parametrize("q,n,d", [(3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2)])
+# (100, 3, 2500) and (60, 3, 900): a large alphabet, and a high ball that
+# holds most of Z_q^2, so translate tables over the whole ball would not fit
+@pytest.mark.parametrize(
+    "q,n,d", [(3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2), (100, 3, 2500), (60, 3, 900)]
+)
 def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
-    # the mask takes q^n bytes and the result K x n int64 digits; a table of
-    # the whole ball or of translates over the word space would not fit
+    # the mask takes at most q^n bytes and the result K x n int64 digits; a
+    # table of the whole ball or of translates over the word space would not fit
     table = euclid.constellation(q).euclid_table
     kernels.greedy_lex(q, 2, d, table)  # warm up numpy's caches
     tracemalloc.start()
