@@ -2,6 +2,9 @@
 
 Everything is evaluated in log-abscissa so that squared distances as small as
 e^-1000 stay representable; rho itself is only materialized above e^-700.
+Each rate function, :func:`tangent_line` and :meth:`TangentLine.rate_at`
+take the abscissa x = ln rho as their one argument form (a caller holding rho
+passes math.log(rho)), and reject a non-finite one with a ValueError.
 Curves (rates in bits per dimension, rho the squared minimum distance on the
 unit sphere), with the parameters each one takes:
 
@@ -67,21 +70,9 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _resolve_x(rho: float | None, x: float | None) -> float:
-    if (rho is None) == (x is None):
-        raise ValueError("pass exactly one of rho or x")
-    if rho is not None:
-        if not 0.0 < rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {rho!r}")
-        return math.log(rho)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return float(x)
-
-
-def shannon_rate(rho: float | None = None, *, x: float | None = None) -> float:
-    """1 - (1/2) log2(rho (4 - rho)) for rho in (0, 4), stable for tiny rho."""
-    x = _resolve_x(rho, x)
+def shannon_rate(x: float) -> float:
+    """1 - (1/2) log2(rho (4 - rho)) at x = ln rho, rho in (0, 4)."""
+    _require_finite(x=x)
     if x >= math.log(4.0):
         raise ValueError(f"rho must lie in (0, 4), got ln rho = {x!r}")
     # ln(4 - e^x) = ln 4 + log1p(-e^x / 4), exact for all x < ln 4
@@ -89,33 +80,35 @@ def shannon_rate(rho: float | None = None, *, x: float | None = None) -> float:
     return 1.0 - 0.5 * ln_term / LN2
 
 
-def lattice_rate(rho: float | None = None, *, x: float | None = None) -> float:
-    """-(1/2) log2(rho)."""
-    return -0.5 * _resolve_x(rho, x) / LN2
+def lattice_rate(x: float) -> float:
+    """-(1/2) log2(rho) = -x / (2 ln 2)."""
+    _require_finite(x=x)
+    return -0.5 * x / LN2
 
 
-def lattice_rate_shifted(rho: float | None = None, *, x: float | None = None) -> float:
+def lattice_rate_shifted(x: float) -> float:
     """lattice_rate - 1.30 (polynomially constructible lattice families)."""
-    return lattice_rate(rho, x=x) - 1.30
+    return lattice_rate(x) - 1.30
 
 
-def lachaud_stern_rate(rho: float | None = None, *, x: float | None = None) -> float:
+def lachaud_stern_rate(x: float) -> float:
     """0.5 * shannon_rate."""
-    return 0.5 * shannon_rate(rho, x=x)
+    return 0.5 * shannon_rate(x)
 
 
-def shannon_lattice_gap(rho: float | None = None, *, x: float | None = None) -> float:
+def shannon_lattice_gap(x: float) -> float:
     """Exact gap shannon - lattice = -(1/2) log2(1 - rho/4), computed stably."""
-    x = _resolve_x(rho, x)
+    _require_finite(x=x)
     if x >= math.log(4.0):
         raise ValueError("rho must lie in (0, 4)")
     return -0.5 * math.log1p(-math.exp(x) / 4.0) / LN2
 
 
-def gilbert_yaglom_rate(q: int, rho: float | None = None, *, x: float | None = None) -> float:
-    """log2(q) minus the ball exponent at normalized radius a*rho, rho in (0, 1].
+def gilbert_yaglom_rate(q: int, x: float) -> float:
+    """log2(q) minus the ball exponent at normalized radius lambda = a e^x,
+    for x = ln rho <= 0.
 
-    Valid while a*rho stays below the mean coordinate weight (above it the
+    Valid while lambda stays below the mean coordinate weight (above it the
     rate floor is 0 and the saddle solution is clamped).
 
     For small rho the rate is log2(q) by a proven bound, in log form, so no
@@ -133,7 +126,7 @@ def gilbert_yaglom_rate(q: int, rho: float | None = None, *, x: float | None = N
     gives log2(q) too; below x = -708, lambda is subnormal and the solver
     cannot be used.
     """
-    x = _resolve_x(rho, x)
+    _require_finite(x=x)
     if x > 0.0:
         raise ValueError(f"rho must lie in (0, 1], got ln rho = {x!r}")
     c = constellation(q)
@@ -143,52 +136,42 @@ def gilbert_yaglom_rate(q: int, rho: float | None = None, *, x: float | None = N
         ln_bound = ln_lam + math.log(1.0 + math.log(q - 1) - ln_lam) - math.log(LN2)
         if ln_bound < math.log((top - math.nextafter(top, 0.0)) / 4.0):
             return top
-    if rho is None:
-        rho = math.exp(x)
-    sol = counting.saddle_solve(counting.enumerator(q), c.a * rho)
+    sol = counting.saddle_solve(counting.enumerator(q), c.a * math.exp(x))
     return top - sol.exponent
 
 
 @dataclass(frozen=True)
 class TangentLine:
-    """Tangent of the curve (rho, lam * lattice_rate(rho)) at rho0 = e^x0,
-    in intercept form X/A + Y/B = 1.
+    """Tangent of the curve (rho, lam * lattice_rate) at rho0 = e^x0, in
+    intercept form rho/A + rate/B = 1.
 
-    A = rho0 (1 - ln rho0) may underflow for very negative x0; ln_a keeps the
-    exact log form used for evaluation.
+    A = rho0 (1 - x0) underflows for very negative x0, so only its log
+    ln_a = x0 + ln(1 - x0) is kept, and the line is evaluated in x.
     """
 
     x0: float
     lam: float
-    A: float
     B: float
     ln_a: float
 
-    @property
-    def rho0(self) -> float:
-        return math.exp(self.x0)
-
-    def rate_at(self, rho: float | None = None, *, x: float | None = None) -> float:
-        x = _resolve_x(rho, x)
+    def rate_at(self, x: float) -> float:
+        """Rate of the tangent at x = ln rho."""
+        _require_finite(x=x)
         return self.B * -math.expm1(x - self.ln_a)
 
 
-def tangent_line(
-    rho0: float | None = None, lam: float = 1.0, *, x0: float | None = None
-) -> TangentLine:
-    """Tangent of (rho, lam * lattice_rate) at rho0; degenerate for rho0 >= e."""
-    x0 = _resolve_x(rho0, x0)
-    _require_finite(lam=lam)
+def tangent_line(x0: float, lam: float = 1.0) -> TangentLine:
+    """Tangent of (rho, lam * lattice_rate) at x0 = ln rho0; degenerate for
+    rho0 >= e."""
+    _require_finite(x0=x0, lam=lam)
     if x0 >= 1.0:
         raise ValueError(f"tangent degenerates for rho0 >= e (got ln rho0 = {x0!r})")
     one_minus = 1.0 - x0
-    ln_a = x0 + math.log(one_minus)
     return TangentLine(
         x0=x0,
         lam=lam,
-        A=math.exp(x0) * one_minus,
         B=lam * one_minus / (2.0 * LN2),
-        ln_a=ln_a,
+        ln_a=x0 + math.log(one_minus),
     )
 
 
@@ -240,14 +223,12 @@ class TVZParams:
         return 1.0 - 1.0 / (self.p**e_half - 1)
 
 
-def tvz_line(
-    params: TVZParams, rho: float | None = None, *, x: float | None = None
-) -> float:
+def tvz_line(params: TVZParams, x: float) -> float:
     """Rate of the concatenated family line at squared distance rho = e^x:
 
     R = [(p-t-1) log2(p) / (p-1)] * (f_Q - rho (p-1)^3 / (8t)).
     """
-    x = _resolve_x(rho, x)
+    _require_finite(x=x)
     ln_p1 = math.log(params.p - 1)
     if params.t is not None:
         prefactor = (params.p - params.t - 1) * math.log2(params.p) / (params.p - 1)
@@ -264,6 +245,7 @@ def region_residual(x: float, y: float, lam: float) -> float:
 
     Returns +inf when the exponential alone overflows the double range.
     """
+    _require_finite(x=x, y=y, lam=lam)
     if y <= 0.0:
         raise ValueError(f"y must be positive, got {y!r}")
     if x >= 1.0:
@@ -281,6 +263,7 @@ def tau_window(x: float, y: float, lam: float) -> tuple[float, float]:
 
     Nonempty exactly when region_residual(x, y, lam) <= 0.
     """
+    _require_finite(x=x, y=y, lam=lam)
     if y <= 0.0:
         raise ValueError(f"y must be positive, got {y!r}")
     if x >= 1.0:
@@ -337,18 +320,18 @@ class Curve(NamedTuple):
 
 #: every curve kind, the one place its parameters are named
 CURVES: dict[str, Curve] = {
-    "shannon": Curve(lambda x: shannon_rate(x=x)),
-    "lattice": Curve(lambda x: lattice_rate(x=x)),
-    "lattice_shifted": Curve(lambda x: lattice_rate_shifted(x=x)),
-    "lachaud_stern": Curve(lambda x: lachaud_stern_rate(x=x)),
-    "gilbert_yaglom": Curve(lambda x, q: gilbert_yaglom_rate(q, x=x), {"q": int}),
+    "shannon": Curve(shannon_rate),
+    "lattice": Curve(lattice_rate),
+    "lattice_shifted": Curve(lattice_rate_shifted),
+    "lachaud_stern": Curve(lachaud_stern_rate),
+    "gilbert_yaglom": Curve(lambda x, q: gilbert_yaglom_rate(q, x), {"q": int}),
     "tvz_line": Curve(
-        lambda x, p, t, tau: tvz_line(TVZParams(p=p, t=t, tau=tau), x=x),
+        lambda x, p, t, tau: tvz_line(TVZParams(p=p, t=t, tau=tau), x),
         {"p": int, "t": int, "tau": float},
         optional=("t", "tau"),
     ),
     "envelope": Curve(lambda x, c: envelope_point(x, c).rate, {"c": float}),
-    "scaled_shannon": Curve(lambda x, lam: lam * shannon_rate(x=x), {"lam": float}),
+    "scaled_shannon": Curve(lambda x, lam: lam * shannon_rate(x), {"lam": float}),
 }
 CURVE_KINDS = tuple(CURVES)
 

@@ -11,11 +11,13 @@ the embedded points, so every distance floor derived from it stays valid after
 embedding.  The Yaglom lift maps the radius-R ball of R^n onto the radius-R
 sphere of R^(n+1) without ever decreasing pairwise distances;
 :func:`yaglom_lift` is its one implementation, which ``codes.to_spherical``
-and the ``yaglom_expansion`` criterion both call on arrays of rows.
+and the ``yaglom_expansion`` criterion both call on arrays of rows, giving
+the ball by its squared radius alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,35 +116,30 @@ def sq_euclid_distance(c: Constellation, u, v) -> int:
     return int(c.euclid_table[(a - b) % c.q].sum())
 
 
-def yaglom_lift(
-    points, radius: float | None = None, *, radius_sq: float | None = None
-) -> np.ndarray:
+def yaglom_lift(points, radius_sq: float) -> np.ndarray:
     """Lift points of the radius-R ball of R^n onto the radius-R sphere of R^(n+1).
 
     ``points`` is one point (1-d) or an array of rows (2-d); each gains the
-    coordinate sqrt(R^2 - x.x), and a row lifts alike either way.  Pass
-    exactly one of the radius R or its square: R^2 = n a of a word embedding
-    is exact where sqrt(n a)^2 need not round back to it.  Points outside the
+    coordinate sqrt(R^2 - x.x), and a row lifts alike either way.  The ball is
+    given by its squared radius R^2 alone: R^2 = n a of a word embedding is
+    exact where sqrt(n a)^2 need not round back to it.  Points outside the
     ball (beyond a 1e-9 relative tolerance) are rejected with the measured
     excess.
     """
-    if (radius is None) == (radius_sq is None):
-        raise ValueError("pass exactly one of radius or radius_sq")
-    if (radius_sq if radius is None else radius) <= 0:
-        raise ValueError("radius must be positive")
-    r2 = radius_sq if radius is None else radius * radius
+    if not (math.isfinite(radius_sq) and radius_sq > 0):
+        raise ValueError(f"radius_sq must be positive and finite, got {radius_sq!r}")
     x = np.asarray(points, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("points must be one point (1-d) or an array of rows (2-d)")
     rows = np.atleast_2d(x)
     nrm = np.einsum("ij,ij->i", rows, rows)
     worst = float(nrm.max(initial=0.0))
-    if worst > r2 * (1.0 + BALL_RTOL):
+    if worst > radius_sq * (1.0 + BALL_RTOL):
         raise ValueError(
-            f"point outside ball: |x|^2 = {worst!r} exceeds R^2 = {r2!r} "
-            f"by {worst - r2!r}"
+            f"point outside ball: |x|^2 = {worst!r} exceeds R^2 = {radius_sq!r} "
+            f"by {worst - radius_sq!r}"
         )
-    last = np.sqrt(np.maximum(r2 - nrm, 0.0))
+    last = np.sqrt(np.maximum(radius_sq - nrm, 0.0))
     return np.column_stack([rows, last]).reshape(*x.shape[:-1], x.shape[-1] + 1)
 
 

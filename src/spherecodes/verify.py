@@ -142,10 +142,11 @@ def _dominance(seed: int):
     worst_dom = math.inf
     worst_gap = 0.0
     for rho in rhos:
-        rs = bounds.shannon_rate(float(rho))
-        rl = bounds.lattice_rate(float(rho))
+        x = math.log(rho)
+        rs = bounds.shannon_rate(x)
+        rl = bounds.lattice_rate(x)
         worst_dom = min(worst_dom, rs - rl)
-        gap_err = abs((rs - rl) - bounds.shannon_lattice_gap(float(rho)))
+        gap_err = abs((rs - rl) - bounds.shannon_lattice_gap(x))
         worst_gap = max(worst_gap, gap_err)
     return worst_dom >= 0.0 and worst_gap <= 1e-12, [
         f"min(shannon - lattice) over 1e4 grid points = {worst_dom:.3e} (>= 0)",
@@ -296,8 +297,6 @@ def _gilbert(seed: int):
     for q in range(2, 6):
         c = euclid.constellation(q)
         for n in range(1, 7):
-            if q**n > codes.GREEDY_GUARD:
-                continue
             total = q**n
             for d in range(1, n * c.a_int + 1):
                 words = codes.greedy_gilbert(q, n, d)
@@ -351,7 +350,7 @@ def _yaglom_expansion(seed: int):
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.random(2 * pairs) ** (1.0 / n)
     pts = g * r[:, None]
-    lifted = euclid.yaglom_lift(pts, radius)
+    lifted = euclid.yaglom_lift(pts, radius * radius)
     a, b = pts[:pairs], pts[pairs:]
     la, lb = lifted[:pairs], lifted[pairs:]
     d_orig = np.einsum("ij,ij->i", a - b, a - b)

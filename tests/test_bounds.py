@@ -12,16 +12,12 @@ LN2 = math.log(2.0)
 
 
 def test_shannon_examples():
-    assert bounds.shannon_rate(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert bounds.shannon_rate(1.0) == pytest.approx(1 - math.log2(3) / 2, abs=1e-15)
+    assert bounds.shannon_rate(x=math.log(2.0)) == pytest.approx(0.0, abs=1e-15)
+    assert bounds.shannon_rate(x=math.log(1.0)) == pytest.approx(
+        1 - math.log2(3) / 2, abs=1e-15
+    )
     with pytest.raises(ValueError):
-        bounds.shannon_rate(4.0)
-    with pytest.raises(ValueError):
-        bounds.shannon_rate(-1.0)
-    with pytest.raises(ValueError):
-        bounds.shannon_rate(1.0, x=0.0)
-    with pytest.raises(ValueError):
-        bounds.shannon_rate()
+        bounds.shannon_rate(x=math.log(4.0))
 
 
 def test_shannon_log_space_matches_gap_form():
@@ -33,8 +29,8 @@ def test_shannon_log_space_matches_gap_form():
 
 
 def test_lattice_examples():
-    assert bounds.lattice_rate(1.0) == 0.0
-    assert bounds.lattice_rate(0.25) == pytest.approx(1.0, abs=1e-15)
+    assert bounds.lattice_rate(x=math.log(1.0)) == 0.0
+    assert bounds.lattice_rate(x=math.log(0.25)) == pytest.approx(1.0, abs=1e-15)
     x130 = -130 * LN2
     assert bounds.lattice_rate(x=x130) == pytest.approx(65.0, abs=1e-12)
     assert bounds.lattice_rate_shifted(x=x130) == pytest.approx(63.7, abs=1e-12)
@@ -42,8 +38,10 @@ def test_lattice_examples():
 
 
 def test_lachaud_stern():
-    assert bounds.lachaud_stern_rate(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert bounds.lachaud_stern_rate(1.0) == pytest.approx(0.10375937, abs=1e-8)
+    assert bounds.lachaud_stern_rate(x=math.log(2.0)) == pytest.approx(0.0, abs=1e-15)
+    assert bounds.lachaud_stern_rate(x=math.log(1.0)) == pytest.approx(
+        0.10375937, abs=1e-8
+    )
     assert bounds.lachaud_stern_rate(x=-100.0) == pytest.approx(
         0.5 * bounds.shannon_rate(x=-100.0)
     )
@@ -51,14 +49,15 @@ def test_lachaud_stern():
 
 def test_dominance_and_gap_identity_grid():
     for rho in np.linspace(1e-9, 4 - 1e-9, 2000):
-        rs = bounds.shannon_rate(float(rho))
-        rl = bounds.lattice_rate(float(rho))
+        x = math.log(rho)
+        rs = bounds.shannon_rate(x=x)
+        rl = bounds.lattice_rate(x=x)
         assert rs >= rl
-        assert abs((rs - rl) - bounds.shannon_lattice_gap(float(rho))) <= 1e-12
+        assert abs((rs - rl) - bounds.shannon_lattice_gap(x=x)) <= 1e-12
 
 
 def test_gilbert_yaglom_examples():
-    assert bounds.gilbert_yaglom_rate(3, 0.5) == pytest.approx(
+    assert bounds.gilbert_yaglom_rate(3, x=math.log(0.5)) == pytest.approx(
         math.log2(3) - 1.5, abs=1e-12
     )
     from spherecodes import counting
@@ -68,16 +67,14 @@ def test_gilbert_yaglom_examples():
     expected = math.log2(5) - (
         math.log2(1 + 2 * mu + 2 * mu**4) - math.log2(mu)
     )
-    assert bounds.gilbert_yaglom_rate(5, 0.25) == pytest.approx(expected, abs=1e-12)
-    assert bounds.gilbert_yaglom_rate(3, 1e-12) == pytest.approx(math.log2(3), abs=1e-9)
+    assert bounds.gilbert_yaglom_rate(5, x=math.log(0.25)) == pytest.approx(
+        expected, abs=1e-12
+    )
+    assert bounds.gilbert_yaglom_rate(3, x=math.log(1e-12)) == pytest.approx(
+        math.log2(3), abs=1e-9
+    )
     with pytest.raises(ValueError):
-        bounds.gilbert_yaglom_rate(3, 1.5)
-
-
-@pytest.mark.parametrize("x", [-20.0, -5.0, -1.0, -0.1, -1e-9])
-@pytest.mark.parametrize("q", [3, 4, 7])
-def test_gilbert_yaglom_rate_in_x(q, x):
-    assert bounds.gilbert_yaglom_rate(q, x=x) == bounds.gilbert_yaglom_rate(q, math.exp(x))
+        bounds.gilbert_yaglom_rate(3, x=math.log(1.5))
 
 
 @pytest.mark.parametrize("q", [3, 7, 13])
@@ -107,16 +104,12 @@ def test_gilbert_yaglom_rate_keeps_the_solver_value_near_the_switch():
     # solution already rounds to log2 q; above it the solver is used
     a = euclid.constellation(7).a
     f = counting.enumerator(7)
-    for x in [-42.0, -42.5, -43.0, -43.5, -44.0, -60.0]:
+    for x in [-0.1, -1.0, -5.0, -42.0, -42.5, -43.0, -43.5, -44.0, -60.0]:
         solved = math.log2(7) - counting.saddle_solve(f, a * math.exp(x)).exponent
         assert bounds.gilbert_yaglom_rate(7, x=x) == solved
 
 
 def test_gilbert_yaglom_rate_domain():
-    with pytest.raises(ValueError, match="exactly one"):
-        bounds.gilbert_yaglom_rate(3)
-    with pytest.raises(ValueError, match="exactly one"):
-        bounds.gilbert_yaglom_rate(3, 0.5, x=-1.0)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         bounds.gilbert_yaglom_rate(3, x=0.1)
 
@@ -129,7 +122,9 @@ def test_tvz_small_p():
     r0 = 4 * math.log2(7) / 6 * (47 / 48)
     assert bounds.tvz_line(params, x=-745.0) == pytest.approx(r0, abs=1e-12)
     rho_intercept = (47 / 48) * 16 / 216
-    assert bounds.tvz_line(params, rho=rho_intercept) == pytest.approx(0.0, abs=1e-12)
+    assert bounds.tvz_line(params, x=math.log(rho_intercept)) == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def test_tvz_param_validation():
@@ -158,14 +153,15 @@ def test_tvz_quality_factor_clamp():
 
 
 def test_tangent_examples():
-    t = bounds.tangent_line(rho0=math.exp(-1.0), lam=0.98)
-    assert t.A == pytest.approx(2 / math.e, abs=1e-15)
+    t = bounds.tangent_line(x0=math.log(math.exp(-1.0)), lam=0.98)
+    # the intercept A = rho0 (1 - ln rho0) = 2/e, in log form
+    assert t.ln_a == pytest.approx(math.log(2 / math.e), abs=1e-15)
     assert t.B == pytest.approx(0.98 / LN2, abs=1e-15)
-    t1 = bounds.tangent_line(rho0=1.0, lam=0.5)
-    assert t1.A == 1.0
+    t1 = bounds.tangent_line(x0=math.log(1.0), lam=0.5)
+    assert t1.ln_a == 0.0
     assert t1.B == pytest.approx(0.5 / (2 * LN2))
     with pytest.raises(ValueError):
-        bounds.tangent_line(rho0=math.e * 1.01)
+        bounds.tangent_line(x0=math.log(math.e * 1.01))
 
 
 def test_tangent_touches_and_supports():
@@ -173,17 +169,20 @@ def test_tangent_touches_and_supports():
     for _ in range(25):
         rho0 = float(rng.uniform(0.01, 0.99))
         lam = float(rng.uniform(0.5, 1.0))
-        t = bounds.tangent_line(rho0=rho0, lam=lam)
-        touch = t.rate_at(rho=rho0)
-        assert touch == pytest.approx(lam * bounds.lattice_rate(rho0), rel=1e-12)
+        t = bounds.tangent_line(x0=math.log(rho0), lam=lam)
+        touch = t.rate_at(x=math.log(rho0))
+        assert touch == pytest.approx(
+            lam * bounds.lattice_rate(x=math.log(rho0)), rel=1e-12
+        )
         # the scaled curve is convex in rho, so its tangent supports it from below
         for rho in (rho0 / 2, min(2 * rho0, 0.999)):
-            assert t.rate_at(rho=rho) <= lam * bounds.lattice_rate(rho) + 1e-12
+            x = math.log(rho)
+            assert t.rate_at(x=x) <= lam * bounds.lattice_rate(x=x) + 1e-12
 
 
 def test_tangent_log_space_far_left():
     t = bounds.tangent_line(x0=-640.48, lam=0.98)
-    # A underflows gracefully; the log form keeps evaluating
+    # A = rho0 (1 - ln rho0) would underflow; the log form keeps evaluating
     assert t.ln_a == pytest.approx(-640.48 + math.log(641.48), rel=1e-12)
     assert t.rate_at(x=-740.48) == pytest.approx(t.B, rel=1e-4)
 
@@ -368,7 +367,27 @@ def test_entry_points_reject_non_finite_input(bad):
     with pytest.raises(ValueError, match="finite"):
         bounds.shannon_rate(x=bad)
     with pytest.raises(ValueError, match="finite"):
-        bounds.lattice_rate(rho=bad)
+        bounds.lattice_rate(x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.shannon_lattice_gap(x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.gilbert_yaglom_rate(3, x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tvz_line(bounds.TVZParams(p=7, t=2), x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tangent_line(x0=-1.0).rate_at(x=bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.region_residual(bad, 1.0, 0.98)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.region_residual(-1.0, bad, 0.98)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.region_residual(-1.0, 1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tau_window(bad, 1.0, 0.98)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tau_window(-1.0, bad, 0.98)
+    with pytest.raises(ValueError, match="finite"):
+        bounds.tau_window(-1.0, 1.0, bad)
     with pytest.raises(ValueError, match="finite"):
         bounds.tangent_line(x0=bad)
     with pytest.raises(ValueError, match="finite"):

@@ -176,15 +176,24 @@ def test_greedy_half_spaces_are_kept_per_table():
 
 
 # (100, 3, 2500) and (60, 3, 900): a large alphabet, and a high ball that
-# holds most of Z_q^2, so translate tables over the whole ball would not fit
+# holds most of Z_q^2, so translate tables over the whole ball would not fit;
+# (1000, 2, 10000): both halves are single digits of a 1000-letter alphabet
 @pytest.mark.parametrize(
-    "q,n,d", [(3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2), (100, 3, 2500), (60, 3, 900)]
+    "q,n,d",
+    [
+        (3, 12, 6), (3, 12, 14), (5, 8, 12), (4, 9, 2), (100, 3, 2500), (60, 3, 900),
+        (1000, 2, 10000),
+    ],
 )
 def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
     # the mask takes at most q^n bytes and the result K x n int64 digits; a
     # table of the whole ball or of translates over the word space would not fit
     table = euclid.constellation(q).euclid_table
     kernels.greedy_lex(q, 2, d, table)  # warm up numpy's caches
+    # the half spaces and split tables are cached across calls: clear them, so
+    # the traced call counts every table it builds
+    kernels._half_space.cache_clear()
+    kernels._split_tables.cache_clear()
     tracemalloc.start()
     try:
         words = kernels.greedy_lex(q, n, d, table)

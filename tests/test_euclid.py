@@ -117,10 +117,10 @@ def test_embed_ball_bound(q):
 
 
 def test_yaglom_examples():
-    assert euclid.yaglom_lift([0.0, 0.0], 3.0).tolist() == [0.0, 0.0, 3.0]
-    assert euclid.yaglom_lift([1.0], 1.0).tolist() == [1.0, 0.0]
-    a = euclid.yaglom_lift([0.0], 1.0)
-    b = euclid.yaglom_lift([1.0], 1.0)
+    assert euclid.yaglom_lift([0.0, 0.0], radius_sq=9.0).tolist() == [0.0, 0.0, 3.0]
+    assert euclid.yaglom_lift([1.0], radius_sq=1.0).tolist() == [1.0, 0.0]
+    a = euclid.yaglom_lift([0.0], radius_sq=1.0)
+    b = euclid.yaglom_lift([1.0], radius_sq=1.0)
     d0 = 1.0
     d1 = float((a - b) @ (a - b))
     assert d1 == pytest.approx(2.0, abs=1e-12)
@@ -129,9 +129,9 @@ def test_yaglom_examples():
 
 def test_yaglom_rejects_outside():
     with pytest.raises(ValueError, match="exceeds"):
-        euclid.yaglom_lift([2.0], 1.0)
+        euclid.yaglom_lift([2.0], radius_sq=1.0)
     # within the stated relative tolerance: accepted, clamped to the sphere
-    out = euclid.yaglom_lift([1.0 + 1e-12], 1.0)
+    out = euclid.yaglom_lift([1.0 + 1e-12], radius_sq=1.0)
     assert out[-1] == 0.0
 
 
@@ -141,32 +141,30 @@ def test_yaglom_lift_of_rows_is_the_lift_of_each_row():
         g = rng.normal(size=(300, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         pts = g * (radius * rng.random((300, 1)) ** (1.0 / n))
-        rows = euclid.yaglom_lift(pts, radius)
+        r2 = radius * radius
+        rows = euclid.yaglom_lift(pts, radius_sq=r2)
         assert rows.shape == (300, n + 1)
-        assert np.array_equal(rows, np.array([euclid.yaglom_lift(p, radius) for p in pts]))
-        # the squared radius lifts alike when it is the square of the radius
-        assert np.array_equal(euclid.yaglom_lift(pts, radius_sq=radius * radius), rows)
+        assert np.array_equal(rows, np.array([euclid.yaglom_lift(p, radius_sq=r2) for p in pts]))
 
 
 def test_yaglom_lift_rejects_a_row_outside_the_ball():
     pts = np.array([[0.0, 0.5], [0.6, 0.8], [1.0, 0.1], [0.0, 0.0]])
     with pytest.raises(ValueError, match="outside ball"):
-        euclid.yaglom_lift(pts, 1.0)
-    assert euclid.yaglom_lift(pts[[0, 1, 3]], 1.0)[:, -1].tolist() == [
+        euclid.yaglom_lift(pts, radius_sq=1.0)
+    assert euclid.yaglom_lift(pts[[0, 1, 3]], radius_sq=1.0)[:, -1].tolist() == [
         math.sqrt(0.75), 0.0, 1.0
     ]
 
 
 def test_yaglom_lift_takes_one_radius():
-    with pytest.raises(ValueError, match="exactly one"):
-        euclid.yaglom_lift([0.0], 1.0, radius_sq=1.0)
-    with pytest.raises(ValueError, match="exactly one"):
-        euclid.yaglom_lift([0.0])
-    for kw in ({"radius": 0.0}, {"radius": -1.0}, {"radius_sq": 0.0}):
+    for r2 in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
-            euclid.yaglom_lift([0.0], **kw)
+            euclid.yaglom_lift([0.0], radius_sq=r2)
+    for r2 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            euclid.yaglom_lift([0.0], radius_sq=r2)
     with pytest.raises(ValueError, match="1-d"):
-        euclid.yaglom_lift(np.zeros((2, 2, 2)), 1.0)
+        euclid.yaglom_lift(np.zeros((2, 2, 2)), radius_sq=1.0)
 
 
 def test_yaglom_expansion_bulk():
@@ -175,7 +173,7 @@ def test_yaglom_expansion_bulk():
     g = rng.normal(size=(2000, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     pts = g * (radius * rng.random((2000, 1)) ** (1.0 / n))
-    lifted = np.array([euclid.yaglom_lift(p, radius) for p in pts])
+    lifted = np.array([euclid.yaglom_lift(p, radius_sq=radius * radius) for p in pts])
     norms = np.linalg.norm(lifted, axis=1)
     assert np.all(np.abs(norms - radius) <= 1e-9 * radius)
     a, b = pts[:1000], pts[1000:]
