@@ -234,6 +234,14 @@ class ConcatenatedCode:
         sum is an integer of absolute value at most k_total (p-1)^2, which
         must stay below 2^53.  One gather from a table over that range
         reduces the product mod p.
+
+        Memory: the draws are int64 as the generator returns them, and each
+        is narrowed to the field's smallest unsigned dtype at once, so the
+        scan holds one int64 draw array at a time, the two narrowed draw
+        arrays (at most 2 bytes a symbol, as Q <= 2^14) and one block.  A
+        block has about 2^17 elements per working array (4096 pairs for the
+        README code's 32 digit columns), so its products stay in cache and
+        BLAS keeps small buffers.
         """
         if pairs < 1:
             raise ValueError(f"pairs must be >= 1, got {pairs}")
@@ -244,8 +252,9 @@ class ConcatenatedCode:
             )
         rng = np.random.default_rng(seed)
         fld, k_out = self.outer.fld, self.outer.k_out
-        a = rng.integers(0, fld.Q, size=(pairs, k_out))
-        b = rng.integers(0, fld.Q, size=(pairs, k_out))
+        narrow = np.min_scalar_type(fld.Q - 1)
+        a = rng.integers(0, fld.Q, size=(pairs, k_out)).astype(narrow)
+        b = rng.integers(0, fld.Q, size=(pairs, k_out)).astype(narrow)
         same = np.all(a == b, axis=1)
         while np.any(same):
             b[same] = rng.integers(0, fld.Q, size=(int(same.sum()), k_out))
@@ -258,7 +267,7 @@ class ConcatenatedCode:
         fold = (np.arange(-top, top + 1) % self.p).astype(np.min_scalar_type(self.p))
         weights = self.symbol_weights()
         best = np.iinfo(np.int64).max
-        chunk = 1 << 14
+        chunk = kernels._block_rows(1, gen.shape[1], 1 << 17)
         for i0 in range(0, pairs, chunk):
             diff = np.take(digits, a[i0 : i0 + chunk], axis=0)
             diff -= np.take(digits, b[i0 : i0 + chunk], axis=0)

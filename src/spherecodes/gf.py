@@ -11,7 +11,6 @@ fields; that is all the desk-scale constructions need.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 
@@ -186,7 +185,15 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 @dataclass
 class ExtField:
     """GF(p^k) with integer-encoded elements and vectorized table arithmetic,
-    modulo the irreducible :func:`find_irreducible` gives."""
+    modulo the irreducible :func:`find_irreducible` gives.
+
+    The power table of the generator g is built by doubling: the digit rows
+    of g^0 .. g^(c-1) times the matrix of multiplication by g^c give
+    g^c .. g^(2c-1), and squaring that matrix gives the next step, so
+    Q = p^k takes about log2 Q numpy products.  The log and Zech tables
+    follow from it by gathers.  Most of the build is then the search for
+    the irreducible and the generator.
+    """
 
     p: int
     k: int
@@ -238,19 +245,20 @@ class ExtField:
 
         gen = next(g for g in range(1, q) if full_order(g))
         self.generator = gen
-        # rows of the GF(p)-linear map "multiply by the generator" on digit
-        # vectors: column j holds the digits of z^j * generator
-        cols = []
+        # the GF(p)-linear map "multiply by the generator" on digit row
+        # vectors: row j holds the digits of z^j * generator
+        step = np.zeros((k, k), dtype=np.int64)
         for j in range(k):
-            col = _poly_mul_mod([0] * j + [1], digits(gen), mod, p)
-            cols.append(col + [0] * (k - len(col)))
-        rows = list(zip(*cols))
-        powers = [0] * (q - 1)
-        acc = [1] + [0] * (k - 1)
-        for i in range(q - 1):
-            powers[i] = sum(map(operator.mul, acc, places))
-            acc = [sum(map(operator.mul, row, acc)) % p for row in rows]
-        exp = np.array(powers, dtype=np.int64)
+            row = _poly_mul_mod([0] * j + [1], digits(gen), mod, p)
+            step[j, : len(row)] = row
+        # powers by doubling: while the rows hold the digits of g^0 .. g^(c-1)
+        # and step multiplies by g^c, the rows times step are g^c .. g^(2c-1)
+        # (entries below k p^2 <= p MAX_TABLE_FIELD, exact in int64)
+        powers = np.eye(1, k, dtype=np.int64)
+        while len(powers) < q - 1:
+            powers = np.concatenate([powers, powers @ step % p])
+            step = step @ step % p
+        exp = powers[: q - 1] @ np.array(places, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         # Zech logarithms: 1 + g^i = g^zech[i], -1 where 1 + g^i = 0; adding

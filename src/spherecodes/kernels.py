@@ -8,9 +8,10 @@ later row), whose half balls are prefixes of half spaces sorted once per
 alphabet, length and table; a translate check of a word set's
 distance, which looks up each word's translates by the offsets of weight
 below the distance in a mask of the set, through high and low half translate
-tables; an exact integer Gram scan for word sets; a float pair scan that
-estimates square tiles of pairs by a BLAS Gram product and re-measures by
-the direct formula every pair that could be the minimum; and a
+tables or, where those would not fit, from digits; an exact integer Gram
+scan for word sets; a float pair scan that estimates square tiles of pairs
+by a BLAS Gram product and re-measures by the direct formula every pair
+that could be the minimum; and a
 meet-in-the-middle codeword weight sweep that pairs the overlap classes of
 the two message halves instead of their codewords, and only the pairs whose
 own-column weights leave room below the best weight found.  All but the
@@ -24,6 +25,7 @@ a cyclic generator from its polynomial only through :func:`shifted_generator`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -217,6 +219,18 @@ def _translates(q: int, m: int, table: tuple[int, ...], start: int, stop: int, b
     return lambda w: place @ (((w // place % q)[:, None] + offs) % q)
 
 
+@functools.lru_cache(maxsize=32)
+def _lo_masks(q: int, m: int, table: tuple[int, ...]) -> dict[int, list[int | None]]:
+    """The low-half masks M(l, width) of :func:`greedy_lex` for the half
+    space Z_q^m, one list per width: slot l holds M(l, width) as a Python int
+    of q^m bits once a call has built it, else None.
+
+    Kept per (q, m, table) like :func:`_half_space`, so every d, and both
+    n = 2m and n = 2m + 1, share the masks already built.
+    """
+    return collections.defaultdict(lambda: [None] * q**m)
+
+
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     """Greedy lexicographic selection of words at pairwise weight >= d.
 
@@ -259,13 +273,16 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     a low part by the low ball, are read from split tables of the ball's
     columns (:func:`_translates`) while the tables of each half hold at most
     q^n / 8 entries (half a byte per word) or 4096; a wider ball has its
-    translates computed from digits, once per row or low part.
+    translates computed from digits, once per row or low part.  The masks
+    M(l, width) are built the first time a low part is kept at a width, and
+    kept per (q, n//2, table) (:func:`_lo_masks`), so later calls at any d,
+    and at n = 2m and n = 2m + 1 alike, read them.
 
     Memory: the mask (q^n bits, and a list slot per row: 8 bytes per word
     when n = 1), the split tables within that budget, the masks M(l, width)
-    of the kept low parts, the kept words (one array per row) and the K x n
-    digits of the result.  Neither B nor a table of translates over the word
-    space is held.
+    of the kept low parts (q^(n//2) bits each, kept after the call), the
+    kept words (one array per row) and the K x n digits of the result.
+    Neither B nor a table of translates over the word space is held.
 
     This is the construction; :func:`far_apart` checks its result and shares
     no code with it.
@@ -292,16 +309,24 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     lo_translates = _translates(q, n // 2, key, 0, int(widths[0]), budget)
     order = np.arange(widths[0])
     nbytes = -(-size_lo // 8)
+    # masks[k][l] is M(l, widths[k])
+    cached = _lo_masks(q, n // 2, key)
+    masks = [cached[w] for w in widths.tolist()]
+    ready = bytearray(size_lo)  # low parts whose masks this call has checked
 
-    def lo_masks(l: int) -> list[int]:
-        # M(l, width) for every width: a low word is in M(l, width) when the
+    def build_masks(l: int) -> None:
+        # the missing M(l, width): a low word is in M(l, width) when the
         # offset that takes l to it comes before ``width`` in weight order
-        rank = np.full(size_lo, widths[0])
-        rank[lo_translates(l)] = order
-        buf = np.packbits(rank < widths[:, None], axis=1, bitorder="little").tobytes()
-        return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+        missing = [k for k, shelf in enumerate(masks) if shelf[l] is None]
+        if missing:
+            rank = np.full(size_lo, widths[0])
+            rank[lo_translates(l)] = order
+            buf = np.packbits(rank < widths[missing, None], axis=1, bitorder="little").tobytes()
+            for k, i in zip(missing, range(0, len(buf), nbytes)):
+                masks[k][l] = int.from_bytes(buf[i : i + nbytes], "little")
+        ready[l] = 1
 
-    masks: list[list[int] | None] = [None] * size_lo
+    own = masks[0]
     rows = [(1 << size_lo) - 1] * (total // size_lo)
     kept = []
     for h, row in enumerate(rows):
@@ -311,15 +336,16 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
         while row:
             l = (row & -row).bit_length() - 1
             row_kept.append(l)
-            if masks[l] is None:
-                masks[l] = lo_masks(l)
-            row &= ~masks[l][0]
+            if not ready[l]:
+                build_masks(l)
+            row &= ~own[l]
         kept.append(h * size_lo + np.array(row_kept))
         targets = hi_translates(h).tolist()
         for k, a, b in runs:
+            shelf = masks[k]
             clear = 0
             for l in row_kept:
-                clear |= masks[l][k]
+                clear |= shelf[l]
             clear = ~clear
             for t in targets[a:b]:
                 if t > h:  # rows up to h are scanned already
@@ -332,19 +358,25 @@ def _offset_tables(q: int, n: int, table: tuple[int, ...]):
     """The tables of :func:`far_apart` for words of Z_q^n under ``table``.
 
     Returns the nonzero offsets of Z_q^n, one of each pair (o, -o), stably
-    sorted by weight (their weights, high parts and low parts), and the half
-    translate tables: ``hi[h, o]`` is q^(n//2) times the index of (h + o) mod q
-    in Z_q^(n - n//2), and ``lo[l, o]`` the index of (l + o) mod q in
-    Z_q^(n//2).  The arrays are read-only.
+    sorted by weight: their weights, their high and low parts and the half
+    translate tables, ``hi[h, o]`` q^(n//2) times the index of (h + o) mod q
+    in Z_q^(n - n//2) and ``lo[l, o]`` the index of (l + o) mod q in
+    Z_q^(n//2).  The two tables hold q^(2 (n - n//2)) + q^(2 (n//2))
+    entries, q + 1/q per word of Z_q^n for odd n.  Above 4 entries per word,
+    or 2^16 for a small word space, they are not built, and ``hi`` and
+    ``lo`` are None.  The arrays are read-only.
     """
     tab = np.asarray(table, dtype=np.int64)
+    tabled = q ** (2 * (n - n // 2)) + q ** (2 * (n // 2)) <= max(4 * q**n, 1 << 16)
     halves = []
     for m in (n - n // 2, n // 2):
         words = digits(np.arange(q**m), q, m)
         place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        trans = np.zeros((q**m, q**m), dtype=np.intp)
-        for j in range(m):
-            trans += (words[:, None, j] + words[:, j]) % q * place[j]
+        trans = None
+        if tabled:
+            trans = np.zeros((q**m, q**m), dtype=np.intp)
+            for j in range(m):
+                trans += (words[:, None, j] + words[:, j]) % q * place[j]
         halves.append((tab[words].sum(axis=1), -words % q @ place, trans))
     (hi_wt, hi_neg, hi_tr), (lo_wt, lo_neg, lo_tr) = halves
     size_lo = lo_wt.size
@@ -352,9 +384,12 @@ def _offset_tables(q: int, n: int, table: tuple[int, ...]):
     neg = (hi_neg[:, None] * size_lo + lo_neg).ravel()
     pick = np.flatnonzero(np.arange(wt.size) <= neg)[1:]  # offset 0 is its own negation
     order = pick[np.argsort(wt[pick], kind="stable")]
-    out = wt[order], order // size_lo, order % size_lo, hi_tr * size_lo, lo_tr
+    if tabled:
+        hi_tr *= size_lo
+    out = wt[order], order // size_lo, order % size_lo, hi_tr, lo_tr
     for a in out:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return out
 
 
@@ -372,11 +407,13 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
     The word indices are marked in a q^n boolean mask.  The offsets of Z_q^n
     are tabled once per (q, n, table), sorted by weight, so the offsets of
     weight <= d-1 are a prefix.  The index of w + o is read from two half
-    translate tables, one for the high digits and one for the low ones, so a
-    block of words costs one gather per half and one of the mask, within
-    SWEEP_BUDGET translates, and the check stops at the first block that
-    meets the set.  Memory: the mask, the q^n offsets and two half tables of
-    q^(2 (n - n//2)) and q^(2 (n//2)) indices.
+    translate tables, one for the high digits and one for the low ones, when
+    they hold at most 4 entries per word of Z_q^n (or 2^16); else it is
+    computed from the digits of w and of o, one pass per digit.  A block of
+    words costs one gather per half, or n passes, and one gather of the
+    mask, within SWEEP_BUDGET translates, and the check stops at the first
+    block that meets the set.  Memory: the mask, the q^n / 2 offsets, the
+    half tables within that budget, and one block.
 
     This is a check of :func:`greedy_lex` and shares no code with it;
     :func:`min_dist_words`, a pairwise scan, is its cross-check.  Raises
@@ -388,18 +425,34 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
     w = np.asarray(words, dtype=np.int64)
     m, n = w.shape
     wt, oh, ol, hi_tr, lo_tr = _offset_tables(q, n, tuple(tab.tolist()))
-    index = w @ q ** np.arange(n - 1, -1, -1)
+    place = q ** np.arange(n - 1, -1, -1)
+    index = w @ place
     mask = np.zeros(q**n, dtype=bool)
     mask[index] = True
     if np.count_nonzero(mask) < m and n * int(tab[0]) <= d - 1:
         return False, 0  # a repeated word
     size = int(wt.searchsorted(d - 1, side="right"))
     oh, ol = oh[:size], ol[:size]
-    hi, lo = np.divmod(index, lo_tr.shape[0])
+    size_lo = q ** (n // 2)
+    if hi_tr is None:
+        offs = digits(oh * size_lo + ol, q, n).T  # one row per digit
+
+        def translate(block: slice) -> np.ndarray:
+            out = np.zeros((w[block].shape[0], size), dtype=np.int64)
+            for j in range(n):
+                out += (w[block, j, None] + offs[j]) % q * place[j]
+            return out
+
+    else:
+        hi, lo = np.divmod(index, size_lo)
+
+        def translate(block: slice) -> np.ndarray:
+            return hi_tr[hi[block, None], oh] + lo_tr[lo[block, None], ol]
+
     rows = max(1, SWEEP_BUDGET // max(size, 1))
     looked = 0
     for s in range(0, m if size else 0, rows):
-        translates = hi_tr[hi[s : s + rows, None], oh] + lo_tr[lo[s : s + rows, None], ol]
+        translates = translate(slice(s, s + rows))
         looked += translates.size
         if mask[translates].any():
             return False, looked

@@ -137,6 +137,34 @@ def test_exp_table_is_the_generator_cycle():
     assert np.array_equal(F._log[exp[: F.Q - 1]], np.arange(F.Q - 1))
 
 
+def _stepped_tables(F):
+    """Oracle: exp, log and Zech tables with g^(i+1) = g^i * g, one power at a
+    time by polynomial products mod the irreducible."""
+    p, mod, q = F.p, list(F.irreducible), F.Q
+    g = [int(d) for d in F.to_digits(F.generator)]
+    exp, acc = [], [1]
+    for _ in range(q - 1):
+        exp.append(sum(c * p**i for i, c in enumerate(acc)))
+        acc = gf._poly_mul_mod(acc, g, mod, p)
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    # 1 + g^i adds one to the constant digit
+    zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+    return exp + exp, log, zech + zech
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (3, 2), (2, 5), (5, 2), (5, 3), (7, 4), (11, 4), (13, 3)]
+)
+def test_tables_match_one_power_at_a_time(p, k):
+    F = gf.ExtField(p, k)
+    exp, log, zech = _stepped_tables(F)
+    for got, want in ((F._exp, exp), (F._log, log), (F._zech, zech)):
+        assert got.dtype == np.int64
+        assert got.tobytes() == np.array(want, dtype=np.int64).tobytes()
+
+
 def test_generators_pinned():
     # smallest integer encodings of full order, as every earlier build chose
     pinned = {(7, 2): 9, (7, 4): 12, (5, 2): 6, (5, 3): 9, (11, 2): 15, (3, 5): 3,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,8 +119,6 @@ def test_min_sq_dist_real_candidates_stay_within_a_tile(monkeypatch):
     # 500 equal rows: every pair is a candidate.  Re-measured one tile of
     # side 100 at a time, the scan holds a few arrays of 100^2 x dim floats,
     # where all 125,250 pairs at once would take 64 MB.
-    import tracemalloc
-
     monkeypatch.setattr(kernels, "_block_rows", lambda m_, n_: 100**2)
     dim = 64
     rng = np.random.default_rng(0)
@@ -204,6 +203,43 @@ def test_far_apart_agrees_on_every_gilbert_set():
                     assert kernels.far_apart(words, q, c.euclid_table, dd)[0] == (least >= dd)
                 closer += least < d + 1
     assert closer > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_far_apart_matches_the_pairwise_scan_from_digits(data):
+    # alphabets whose half translate tables would exceed 4 entries per word,
+    # so the translates are computed from digits
+    q, n = data.draw(st.sampled_from([(20, 3), (33, 3), (12, 5), (300, 1)]))
+    half = data.draw(st.lists(st.integers(0, 9), min_size=q // 2, max_size=q // 2))
+    table = _symmetric(q, half)
+    assert kernels._offset_tables(q, n, tuple(table.tolist()))[3] is None
+    index = data.draw(st.lists(st.integers(0, q**n - 1), max_size=40))
+    if data.draw(st.booleans()) and index:
+        index.append(index[0])
+    words = kernels.digits(np.array(index, dtype=np.int64), q, n)
+    d = data.draw(st.integers(0, n * 9 + 1))
+    assert kernels.far_apart(words, q, table, d)[0] == (
+        kernels.min_dist_words(words, table, q) >= d
+    )
+
+
+def test_far_apart_memory_stays_near_the_word_space():
+    # 50 words of Z_40^3: translate tables of its high halves would hold
+    # 1600^2 indices (20 MB), so the translates come from digits
+    q, n = 40, 3
+    table = euclid.constellation(q).euclid_table
+    words = np.unique(np.random.default_rng(0).integers(0, q, size=(50, n)), axis=0)
+    assert kernels.min_dist_words(words, table, q) == 6
+    kernels._offset_tables.cache_clear()  # the traced calls build the tables
+    tracemalloc.start()
+    try:
+        verdicts = [kernels.far_apart(words, q, table, d)[0] for d in (3, 6, 7)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True, True, False]
+    assert peak <= 4 * 2**20
 
 
 def test_far_apart_rejects_an_asymmetric_table():
