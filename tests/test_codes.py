@@ -624,7 +624,7 @@ def test_sampled_distance_matches_two_encode_oracle(concat_74):
 def test_sampled_distance_memory_stays_near_the_draws(concat_74):
     # 100,000 pairs of 4 symbols: one int64 draw array (3.2 MB), the two
     # narrowed ones (0.8 MB each) and a block of 4096 pairs; the int64 draws
-    # and 16,384-pair blocks of float64 peaked at 18.5 MiB
+    # and 16,384-pair blocks of float64 peaked at 17.8 MiB
     tracemalloc.start()
     try:
         assert concat_74.sampled_min_distance(100_000, seed=0) == 89
