@@ -7,17 +7,16 @@ cleared by one OR per run of high offsets of equal width and one AND per
 later row), whose half balls are prefixes of half spaces sorted once per
 alphabet, length and table; a translate check of a word set's
 distance, which looks up each word's translates by the offsets of weight
-below the distance in a mask of the set, through high and low half translate
-tables or, where those would not fit, from digits; an exact integer Gram
-scan for word sets; a float pair scan that estimates square tiles of pairs
-by a BLAS Gram product and re-measures by the direct formula every pair
-that could be the minimum; and a
-meet-in-the-middle codeword weight sweep that pairs the overlap classes of
-the two message halves instead of their codewords, and only the pairs whose
-own-column weights leave room below the best weight found.  All but the
-greedy mask are numpy.  Both pair scans walk the same tiles.  The translate
-check shares no code with the greedy selection it checks, and the Gram scan
-is its cross-check.
+below the distance in a mask of the set, computing them digit by digit; an
+exact integer Gram scan for word sets; a float pair scan that estimates
+square tiles of pairs by a BLAS Gram product and re-measures by the direct
+formula every pair that could be the minimum; and a meet-in-the-middle
+codeword weight sweep that pairs the overlap classes of the two message
+halves instead of their codewords, and only the pairs whose own-column
+weights leave room below the best weight found.  All but the greedy mask
+are numpy.  Both pair scans walk the same tiles.  The translate check shares
+no code with the greedy selection it checks, and the Gram scan is its
+cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -25,7 +24,6 @@ a cyclic generator from its polynomial only through :func:`shifted_generator`.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 
@@ -219,18 +217,6 @@ def _translates(q: int, m: int, table: tuple[int, ...], start: int, stop: int, b
     return lambda w: place @ (((w // place % q)[:, None] + offs) % q)
 
 
-@functools.lru_cache(maxsize=32)
-def _lo_masks(q: int, m: int, table: tuple[int, ...]) -> dict[int, list[int | None]]:
-    """The low-half masks M(l, width) of :func:`greedy_lex` for the half
-    space Z_q^m, one list per width: slot l holds M(l, width) as a Python int
-    of q^m bits once a call has built it, else None.
-
-    Kept per (q, m, table) like :func:`_half_space`, so every d, and both
-    n = 2m and n = 2m + 1, share the masks already built.
-    """
-    return collections.defaultdict(lambda: [None] * q**m)
-
-
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     """Greedy lexicographic selection of words at pairwise weight >= d.
 
@@ -273,16 +259,13 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     a low part by the low ball, are read from split tables of the ball's
     columns (:func:`_translates`) while the tables of each half hold at most
     q^n / 8 entries (half a byte per word) or 4096; a wider ball has its
-    translates computed from digits, once per row or low part.  The masks
-    M(l, width) are built the first time a low part is kept at a width, and
-    kept per (q, n//2, table) (:func:`_lo_masks`), so later calls at any d,
-    and at n = 2m and n = 2m + 1 alike, read them.
+    translates computed from digits, once per row or low part.
 
     Memory: the mask (q^n bits, and a list slot per row: 8 bytes per word
     when n = 1), the split tables within that budget, the masks M(l, width)
-    of the kept low parts (q^(n//2) bits each, kept after the call), the
-    kept words (one array per row) and the K x n digits of the result.
-    Neither B nor a table of translates over the word space is held.
+    of the kept low parts, the kept words (one array per row) and the K x n
+    digits of the result.  Neither B nor a table of translates over the word
+    space is held.
 
     This is the construction; :func:`far_apart` checks its result and shares
     no code with it.
@@ -309,24 +292,16 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     lo_translates = _translates(q, n // 2, key, 0, int(widths[0]), budget)
     order = np.arange(widths[0])
     nbytes = -(-size_lo // 8)
-    # masks[k][l] is M(l, widths[k])
-    cached = _lo_masks(q, n // 2, key)
-    masks = [cached[w] for w in widths.tolist()]
-    ready = bytearray(size_lo)  # low parts whose masks this call has checked
 
-    def build_masks(l: int) -> None:
-        # the missing M(l, width): a low word is in M(l, width) when the
+    def lo_masks(l: int) -> list[int]:
+        # M(l, width) for every width: a low word is in M(l, width) when the
         # offset that takes l to it comes before ``width`` in weight order
-        missing = [k for k, shelf in enumerate(masks) if shelf[l] is None]
-        if missing:
-            rank = np.full(size_lo, widths[0])
-            rank[lo_translates(l)] = order
-            buf = np.packbits(rank < widths[missing, None], axis=1, bitorder="little").tobytes()
-            for k, i in zip(missing, range(0, len(buf), nbytes)):
-                masks[k][l] = int.from_bytes(buf[i : i + nbytes], "little")
-        ready[l] = 1
+        rank = np.full(size_lo, widths[0])
+        rank[lo_translates(l)] = order
+        buf = np.packbits(rank < widths[:, None], axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
 
-    own = masks[0]
+    masks: list[list[int] | None] = [None] * size_lo
     rows = [(1 << size_lo) - 1] * (total // size_lo)
     kept = []
     for h, row in enumerate(rows):
@@ -336,16 +311,15 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
         while row:
             l = (row & -row).bit_length() - 1
             row_kept.append(l)
-            if not ready[l]:
-                build_masks(l)
-            row &= ~own[l]
+            if masks[l] is None:
+                masks[l] = lo_masks(l)
+            row &= ~masks[l][0]
         kept.append(h * size_lo + np.array(row_kept))
         targets = hi_translates(h).tolist()
         for k, a, b in runs:
-            shelf = masks[k]
             clear = 0
             for l in row_kept:
-                clear |= shelf[l]
+                clear |= masks[l][k]
             clear = ~clear
             for t in targets[a:b]:
                 if t > h:  # rows up to h are scanned already
@@ -354,42 +328,23 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _offset_tables(q: int, n: int, table: tuple[int, ...]):
-    """The tables of :func:`far_apart` for words of Z_q^n under ``table``.
+def _offsets(q: int, n: int, table: tuple[int, ...]):
+    """The nonzero offsets of Z_q^n for :func:`far_apart`, one of each pair
+    (o, -o), stably sorted by weight under ``table``.
 
-    Returns the nonzero offsets of Z_q^n, one of each pair (o, -o), stably
-    sorted by weight: their weights, their high and low parts and the half
-    translate tables, ``hi[h, o]`` q^(n//2) times the index of (h + o) mod q
-    in Z_q^(n - n//2) and ``lo[l, o]`` the index of (l + o) mod q in
-    Z_q^(n//2).  The two tables hold q^(2 (n - n//2)) + q^(2 (n//2))
-    entries, q + 1/q per word of Z_q^n for odd n.  Above 4 entries per word,
-    or 2^16 for a small word space, they are not built, and ``hi`` and
-    ``lo`` are None.  The arrays are read-only.
+    Returns their weights and their digits (n x K, one row per digit).  The
+    arrays are read-only.
     """
     tab = np.asarray(table, dtype=np.int64)
-    tabled = q ** (2 * (n - n // 2)) + q ** (2 * (n // 2)) <= max(4 * q**n, 1 << 16)
-    halves = []
-    for m in (n - n // 2, n // 2):
-        words = digits(np.arange(q**m), q, m)
-        place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        trans = None
-        if tabled:
-            trans = np.zeros((q**m, q**m), dtype=np.intp)
-            for j in range(m):
-                trans += (words[:, None, j] + words[:, j]) % q * place[j]
-        halves.append((tab[words].sum(axis=1), -words % q @ place, trans))
-    (hi_wt, hi_neg, hi_tr), (lo_wt, lo_neg, lo_tr) = halves
-    size_lo = lo_wt.size
-    wt = (hi_wt[:, None] + lo_wt).ravel()
-    neg = (hi_neg[:, None] * size_lo + lo_neg).ravel()
-    pick = np.flatnonzero(np.arange(wt.size) <= neg)[1:]  # offset 0 is its own negation
-    order = pick[np.argsort(wt[pick], kind="stable")]
-    if tabled:
-        hi_tr *= size_lo
-    out = wt[order], order // size_lo, order % size_lo, hi_tr, lo_tr
+    place = (q ** np.arange(n)).tolist()
+    index = np.arange(q**n)
+    # the offsets no greater than their negation; offset 0 is its own
+    index = np.flatnonzero(index <= sum(-(index // p) % q * p for p in place))[1:]
+    wt = sum(tab[index // p % q] for p in place)
+    order = np.argsort(wt, kind="stable")
+    out = wt[order], digits(index[order], q, n).T.copy()
     for a in out:
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return out
 
 
@@ -405,15 +360,14 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
     and find the same pairs, so one of each pair is looked up.
 
     The word indices are marked in a q^n boolean mask.  The offsets of Z_q^n
-    are tabled once per (q, n, table), sorted by weight, so the offsets of
-    weight <= d-1 are a prefix.  The index of w + o is read from two half
-    translate tables, one for the high digits and one for the low ones, when
-    they hold at most 4 entries per word of Z_q^n (or 2^16); else it is
-    computed from the digits of w and of o, one pass per digit.  A block of
-    words costs one gather per half, or n passes, and one gather of the
-    mask, within SWEEP_BUDGET translates, and the check stops at the first
-    block that meets the set.  Memory: the mask, the q^n / 2 offsets, the
-    half tables within that budget, and one block.
+    are listed once per (q, n, table), sorted by weight (:func:`_offsets`),
+    so the offsets of weight <= d-1 are a prefix.  The index of w + o is
+    summed digit by digit, each digit read from a table of length 2q - 1
+    that folds the reduction mod q and the place value into the unreduced
+    sum of a word digit and an offset digit.  A block of words costs n
+    passes and one gather of the mask, within SWEEP_BUDGET translates, and
+    the check stops at the first block that meets the set.  Memory: the
+    mask, the q^n / 2 offsets and one block; no table grows with q^2.
 
     This is a check of :func:`greedy_lex` and shares no code with it;
     :func:`min_dist_words`, a pairwise scan, is its cross-check.  Raises
@@ -424,35 +378,23 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
         raise ValueError("the translate check needs a table with table[r] == table[-r mod q]")
     w = np.asarray(words, dtype=np.int64)
     m, n = w.shape
-    wt, oh, ol, hi_tr, lo_tr = _offset_tables(q, n, tuple(tab.tolist()))
+    wt, offs = _offsets(q, n, tuple(tab.tolist()))
     place = q ** np.arange(n - 1, -1, -1)
-    index = w @ place
     mask = np.zeros(q**n, dtype=bool)
-    mask[index] = True
+    mask[w @ place] = True
     if np.count_nonzero(mask) < m and n * int(tab[0]) <= d - 1:
         return False, 0  # a repeated word
     size = int(wt.searchsorted(d - 1, side="right"))
-    oh, ol = oh[:size], ol[:size]
-    size_lo = q ** (n // 2)
-    if hi_tr is None:
-        offs = digits(oh * size_lo + ol, q, n).T  # one row per digit
-
-        def translate(block: slice) -> np.ndarray:
-            out = np.zeros((w[block].shape[0], size), dtype=np.int64)
-            for j in range(n):
-                out += (w[block, j, None] + offs[j]) % q * place[j]
-            return out
-
-    else:
-        hi, lo = np.divmod(index, size_lo)
-
-        def translate(block: slice) -> np.ndarray:
-            return hi_tr[hi[block, None], oh] + lo_tr[lo[block, None], ol]
-
+    offs = offs[:, :size]
+    # fold[j, a + b] is ((a + b) mod q) q^(n-1-j) for digits a, b < q
+    fold = np.arange(2 * q - 1) % q * place[:, None]
     rows = max(1, SWEEP_BUDGET // max(size, 1))
     looked = 0
     for s in range(0, m if size else 0, rows):
-        translates = translate(slice(s, s + rows))
+        block = w[s : s + rows]
+        translates = np.zeros((block.shape[0], size), dtype=np.int64)
+        for j in range(n):
+            translates += fold[j][block[:, j, None] + offs[j]]
         looked += translates.size
         if mask[translates].any():
             return False, looked

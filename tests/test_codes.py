@@ -175,18 +175,6 @@ def test_greedy_half_spaces_are_kept_per_table():
                 assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
 
 
-def test_greedy_low_masks_are_shared_by_d_and_n():
-    # n = 4 and n = 5 share the low half space Z_3^2, so the masks one call
-    # builds are read by the next, whatever its d and n; the widths that the
-    # calls share hold masks built for another d
-    table = euclid.constellation(3).euclid_table
-    kernels._lo_masks.cache_clear()
-    for n, d in [(5, 4), (4, 2), (5, 2), (4, 4), (5, 3), (4, 3), (5, 4)]:
-        words = kernels.greedy_lex(3, n, d, table)
-        assert words.tolist() == _greedy_oracle(3, n, d, table.tolist())
-    assert kernels._lo_masks.cache_info().currsize == 1
-
-
 # (100, 3, 2500) and (60, 3, 900): a large alphabet, and a high ball that
 # holds most of Z_q^2, so translate tables over the whole ball would not fit;
 # (1000, 2, 10000): both halves are single digits of a 1000-letter alphabet
@@ -202,11 +190,10 @@ def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
     # table of the whole ball or of translates over the word space would not fit
     table = euclid.constellation(q).euclid_table
     kernels.greedy_lex(q, 2, d, table)  # warm up numpy's caches
-    # the half spaces, split tables and low-half masks are cached across
-    # calls: clear them, so the traced call counts every table it builds
+    # the half spaces and split tables are cached across calls: clear them, so
+    # the traced call counts every table it builds
     kernels._half_space.cache_clear()
     kernels._split_tables.cache_clear()
-    kernels._lo_masks.cache_clear()
     tracemalloc.start()
     try:
         words = kernels.greedy_lex(q, n, d, table)
