@@ -150,8 +150,8 @@ def _symmetric(q, half):
 @given(data=st.data())
 def test_far_apart_matches_the_pairwise_scan_property(data):
     # random word subsets of Z_q^n (repeats included), random d and random
-    # symmetric tables, zero entries included
-    q = data.draw(st.integers(2, 6))
+    # symmetric tables, zero entries included; small alphabets and large ones
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 6, 20, 33, 300]))
     n = data.draw(st.integers(1, int(math.log(4096) / math.log(q) + 1e-9)))
     half = data.draw(st.lists(st.integers(0, 6), min_size=q // 2, max_size=q // 2))
     table = _symmetric(q, half)
@@ -203,24 +203,6 @@ def test_far_apart_agrees_on_every_gilbert_set():
                     assert kernels.far_apart(words, q, c.euclid_table, dd)[0] == (least >= dd)
                 closer += least < d + 1
     assert closer > 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_far_apart_matches_the_pairwise_scan_on_large_alphabets(data):
-    # alphabets whose translate tables over half words would hold more than
-    # 4 entries per word of Z_q^n: the translates are summed from digits
-    q, n = data.draw(st.sampled_from([(20, 3), (33, 3), (12, 5), (300, 1)]))
-    half = data.draw(st.lists(st.integers(0, 9), min_size=q // 2, max_size=q // 2))
-    table = _symmetric(q, half)
-    index = data.draw(st.lists(st.integers(0, q**n - 1), max_size=40))
-    if data.draw(st.booleans()) and index:
-        index.append(index[0])
-    words = kernels.digits(np.array(index, dtype=np.int64), q, n)
-    d = data.draw(st.integers(0, n * 9 + 1))
-    assert kernels.far_apart(words, q, table, d)[0] == (
-        kernels.min_dist_words(words, table, q) >= d
-    )
 
 
 def test_far_apart_memory_stays_near_the_word_space():
