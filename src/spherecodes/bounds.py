@@ -40,6 +40,7 @@ from . import counting
 from .euclid import constellation
 
 LN2 = math.log(2.0)
+LN4 = math.log(4.0)
 
 #: rho is never materialized below this log-abscissa
 RHO_UNDERFLOW_X = -700.0
@@ -70,19 +71,25 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_x(x: float) -> None:
+    """:func:`_require_finite` for the one argument x, without building a dict."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+
+
 def shannon_rate(x: float) -> float:
     """1 - (1/2) log2(rho (4 - rho)) at x = ln rho, rho in (0, 4)."""
-    _require_finite(x=x)
-    if x >= math.log(4.0):
+    _require_finite_x(x)
+    if x >= LN4:
         raise ValueError(f"rho must lie in (0, 4), got ln rho = {x!r}")
     # ln(4 - e^x) = ln 4 + log1p(-e^x / 4), exact for all x < ln 4
-    ln_term = x + math.log(4.0) + math.log1p(-math.exp(x) / 4.0)
+    ln_term = x + LN4 + math.log1p(-math.exp(x) / 4.0)
     return 1.0 - 0.5 * ln_term / LN2
 
 
 def lattice_rate(x: float) -> float:
     """-(1/2) log2(rho) = -x / (2 ln 2)."""
-    _require_finite(x=x)
+    _require_finite_x(x)
     return -0.5 * x / LN2
 
 
@@ -98,8 +105,8 @@ def lachaud_stern_rate(x: float) -> float:
 
 def shannon_lattice_gap(x: float) -> float:
     """Exact gap shannon - lattice = -(1/2) log2(1 - rho/4), computed stably."""
-    _require_finite(x=x)
-    if x >= math.log(4.0):
+    _require_finite_x(x)
+    if x >= LN4:
         raise ValueError("rho must lie in (0, 4)")
     return -0.5 * math.log1p(-math.exp(x) / 4.0) / LN2
 
@@ -126,7 +133,7 @@ def gilbert_yaglom_rate(q: int, x: float) -> float:
     gives log2(q) too; below x = -708, lambda is subnormal and the solver
     cannot be used.
     """
-    _require_finite(x=x)
+    _require_finite_x(x)
     if x > 0.0:
         raise ValueError(f"rho must lie in (0, 1], got ln rho = {x!r}")
     c = constellation(q)
@@ -156,7 +163,7 @@ class TangentLine:
 
     def rate_at(self, x: float) -> float:
         """Rate of the tangent at x = ln rho."""
-        _require_finite(x=x)
+        _require_finite_x(x)
         return self.B * -math.expm1(x - self.ln_a)
 
 
@@ -228,7 +235,7 @@ def tvz_line(params: TVZParams, x: float) -> float:
 
     R = [(p-t-1) log2(p) / (p-1)] * (f_Q - rho (p-1)^3 / (8t)).
     """
-    _require_finite(x=x)
+    _require_finite_x(x)
     ln_p1 = math.log(params.p - 1)
     if params.t is not None:
         prefactor = (params.p - params.t - 1) * math.log2(params.p) / (params.p - 1)

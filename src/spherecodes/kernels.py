@@ -5,18 +5,19 @@ mask of Python-int bit rows, one row per high half of a word index (the next
 word kept is a row's lowest set bit, and a finished row's translates are
 cleared by one OR per run of high offsets of equal width and one AND per
 later row), whose half balls are prefixes of half spaces sorted once per
-alphabet, length and table; a translate check of a word set's
-distance, which looks up each word's translates by the offsets of weight
-below the distance in a mask of the set, computing them digit by digit; an
-exact integer Gram scan for word sets; a float pair scan that estimates
-square tiles of pairs by a BLAS Gram product and re-measures by the direct
-formula every pair that could be the minimum; and a meet-in-the-middle
-codeword weight sweep that pairs the overlap classes of the two message
-halves instead of their codewords, and only the pairs whose own-column
-weights leave room below the best weight found.  All but the greedy mask
-are numpy.  Both pair scans walk the same tiles.  The translate check shares
-no code with the greedy selection it checks, and the Gram scan is its
-cross-check.
+alphabet, length and table, and whose low-half translates are read from a
+table of bit masks built once per low half space while it fits
+MASK_BUDGET; a distance check of a word set, which looks up each word's
+translates by the offsets of weight below the distance in a mask of the
+set, computing them digit by digit, or scans its pairs when they are fewer;
+an exact integer Gram scan for word sets, which is that pair scan; a float
+pair scan that estimates square tiles of pairs by a BLAS Gram product and
+re-measures by the direct formula every pair that could be the minimum; and
+a meet-in-the-middle codeword weight sweep that pairs the overlap classes
+of the two message halves instead of their codewords, and only the pairs
+whose own-column weights leave room below the best weight found.  All but
+the greedy masks are numpy.  Both pair scans walk the same tiles.  The
+distance check shares no code with the greedy selection it checks.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -24,6 +25,7 @@ a cyclic generator from its polynomial only through :func:`shifted_generator`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -31,6 +33,8 @@ import numpy as np
 
 #: elements per working array of the codeword sweep
 SWEEP_BUDGET = 1 << 20
+#: bytes a greedy mask table may take to be kept (:func:`_mask_table`)
+MASK_BUDGET = 1 << 18
 
 
 def backend() -> str:
@@ -217,6 +221,57 @@ def _translates(q: int, m: int, table: tuple[int, ...], start: int, stop: int, b
     return lambda w: place @ (((w // place % q)[:, None] + offs) % q)
 
 
+@functools.lru_cache(maxsize=32)
+def _weight_cuts(q: int, m: int, table: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The distinct weights of the sorted half space Z_q^m
+    (:func:`_half_space`), ascending, and for each one the number of offsets
+    of at most that weight, its cut, as Python lists."""
+    wt = _half_space(q, m, table)[0]
+    ends = np.append(np.flatnonzero(np.diff(wt)) + 1, wt.size)
+    return wt[ends - 1].tolist(), ends.tolist()
+
+
+def _mask_bytes(size: int, cuts: int) -> int:
+    """An upper bound on the bytes of a mask table (:func:`_mask_table`) of
+    ``size`` low parts and ``cuts`` cuts.  Per int of at most ``size`` bits:
+    a 24-byte header, 4 bytes per 30 bits, up to 16 of alignment and its
+    tuple slot; per low part, a tuple of 56 bytes and its slot; and 1 KiB
+    for the cache entry."""
+    return 1024 + size * (64 + cuts * (48 + 4 * -(-size // 30)))
+
+
+@functools.lru_cache(maxsize=32)
+def _mask_table(q: int, m: int, table: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The low-half masks of :func:`greedy_lex` for Z_q^m: entry [l][c] is
+    the bit set M(l, c) of the low words (l + o) mod q for the offsets o of
+    at most the c-th distinct weight of the sorted half space
+    (:func:`_weight_cuts`), one Python int per low part l and cut c.
+
+    Bit j of M(l, c) is set when the weight of (j - l) mod q is at most that
+    weight, read for every l and j from one array of these weights, summed
+    digit by digit, one packbits per cut.  Built once per (q, m, table) and
+    shared by every d and every n with n // 2 = m; :func:`greedy_lex` takes
+    it only while :func:`_mask_bytes` stays within MASK_BUDGET.
+    """
+    size = q**m
+    weights = _weight_cuts(q, m, table)[0]
+    tab = np.asarray(table)
+    dtype = np.min_scalar_type(m * int(tab.max()))
+    residues = np.arange(q)
+    step = tab[(residues[None, :] - residues[:, None]) % q].astype(dtype)  # [a, b]: b - a
+    between = np.zeros((size, size), dtype=dtype)
+    for col in digits(np.arange(size), q, m).T:
+        between += step[col[:, None], col]
+    nbytes = -(-size // 8)
+    per_cut = []
+    for w in weights:
+        buf = np.packbits(between <= w, axis=1, bitorder="little").tobytes()
+        per_cut.append(
+            [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+        )
+    return tuple(zip(*per_cut))
+
+
 def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     """Greedy lexicographic selection of words at pairwise weight >= d.
 
@@ -230,21 +285,20 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
 
     A word index splits into a high part h (the first n - n//2 digits) and a
     low part l, and the mask is one Python int per h, a row of q^(n//2) bits
-    with bit l set while the word is free.  Let M(l, width) be the bits of
-    the translates of l by the first ``width`` low offsets in weight order.
-    Then (w + B) mod q, for w = (h, l), is M(l, width(u)) in the row of
-    (h + o) mod q for each high offset o of weight u <= d-1, width(u) being
-    the number of low offsets of weight <= d-1-u.  The zero high offset
-    comes first and keeps the translate in the row of w; every other one,
-    weight 0 included, moves it to another row.  Kept words come in
-    increasing order, so their rows never decrease, and the mask is marked
-    one row at a time:
+    with bit l set while the word is free.  Let M(l, r) be the bits of the
+    translates of l by the low offsets of weight <= r.  Then (w + B) mod q,
+    for w = (h, l), is M(l, d-1-u) in the row of (h + o) mod q for each high
+    offset o of weight u <= d-1.  The zero high offset comes first and keeps
+    the translate in the row of w; every other one, weight 0 included, moves
+    it to another row.  Kept words come in increasing order, so their rows
+    never decrease, and the mask is marked one row at a time:
 
     - inside row h, the next word kept is the lowest set bit, and keeping l
-      clears M(l, width(0)) from the row;
-    - when row h has no set bit left, the M(l, width) of its kept words are
-      ORed once per run of nonzero high offsets of equal width, and the
-      complement is ANDed into each row of the run that comes after h.
+      clears M(l, d-1) from the row;
+    - when row h has no set bit left, the M(l, d-1-u) of its kept words are
+      ORed once per run of nonzero high offsets whose radii d-1-u leave the
+      same low offsets, and the complement is ANDed into each row of the run
+      that comes after h.
 
     The result is the one per-word marking gives.  When row h is scanned,
     every kept word of an earlier row has cleared its translate from every
@@ -255,17 +309,22 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
 
     Both half balls are prefixes of the half spaces sorted by weight
     (:func:`_half_space`), which are built once per (q, half length, table)
-    and shared by every d.  The translates of a row by the high ball, and of
-    a low part by the low ball, are read from split tables of the ball's
-    columns (:func:`_translates`) while the tables of each half hold at most
-    q^n / 8 entries (half a byte per word) or 4096; a wider ball has its
-    translates computed from digits, once per row or low part.
+    and shared by every d; the runs are found by bisection in the distinct
+    weights of each half (:func:`_weight_cuts`).  The translates of a row by
+    the high ball are read from split tables of the ball's columns
+    (:func:`_translates`) while the tables of each half hold at most q^n / 8
+    entries (half a byte per word) or 4096; a wider ball has its translates
+    computed from digits, once per row.  The masks M(l, r) of every low part
+    and radius are read from a table built once per (q, n//2, table)
+    (:func:`_mask_table`) while it takes at most MASK_BUDGET bytes; else
+    each call builds the masks of the low parts it keeps, from their
+    translates by the low ball, read or computed in the same way.
 
     Memory: the mask (q^n bits, and a list slot per row: 8 bytes per word
-    when n = 1), the split tables within that budget, the masks M(l, width)
-    of the kept low parts, the kept words (one array per row) and the K x n
-    digits of the result.  Neither B nor a table of translates over the word
-    space is held.
+    when n = 1), the split tables and the mask table within their budgets or,
+    over the mask budget, the masks of the kept low parts, a list slot per
+    kept word and the K x n digits of the result.  Neither B nor a table of
+    translates over the word space is held.
 
     This is the construction; :func:`far_apart` checks its result and shares
     no code with it.
@@ -275,56 +334,73 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
         return digits(np.arange(total), q, n)
     size_lo = q ** (n // 2)
     key = tuple(np.asarray(table).tolist())
-    hi_wt = _half_space(q, n - n // 2, key)[0]
-    lo_wt = _half_space(q, n // 2, key)[0]
-    hi_ball = int(hi_wt.searchsorted(d - 1, side="right"))
-    # widths[0] is width(0), for the kept word's own row; run (k, a, b) holds
-    # the translates targets[a:b] by nonzero high offsets of width widths[k]
-    # (the widths fall as the high weights rise, so equal widths are
-    # neighbours)
-    ball_widths = lo_wt.searchsorted(d - 1 - hi_wt[:hi_ball], side="right")
-    neg_widths, starts = np.unique(-ball_widths[1:], return_index=True)
-    widths = np.concatenate([ball_widths[:1], -neg_widths])
-    runs = list(zip(range(1, widths.size), starts.tolist(), [*starts[1:].tolist(), hi_ball - 1]))
+    hi_weights, hi_cuts = _weight_cuts(q, n - n // 2, key)
+    lo_weights, lo_cuts = _weight_cuts(q, n // 2, key)
+    # own is the low cut of radius d-1, for the kept word's own row; run
+    # (c, a, b) holds the translates targets[a:b] by nonzero high offsets whose
+    # radius falls in low cut c (the radii fall as the high weights rise, so
+    # equal cuts are neighbours)
+    own = bisect.bisect_right(lo_weights, d - 1) - 1
+    runs: list[tuple[int, int, int]] = []
+    start = 1
+    for u, stop in zip(hi_weights, hi_cuts):
+        if u > d - 1:
+            break
+        c = bisect.bisect_right(lo_weights, d - 1 - u) - 1
+        if runs and runs[-1][0] == c:
+            runs[-1] = (c, runs[-1][1], stop - 1)
+        elif stop > start:
+            runs.append((c, start - 1, stop - 1))
+        start = stop
     # the tables of each half take at most half a byte per word, or 16 kB
     budget = max(total // 8, 1 << 12)
-    hi_translates = _translates(q, n - n // 2, key, 1, hi_ball, budget)
-    lo_translates = _translates(q, n // 2, key, 0, int(widths[0]), budget)
-    order = np.arange(widths[0])
-    nbytes = -(-size_lo // 8)
+    hi_translates = _translates(q, n - n // 2, key, 1, start, budget)
+    if _mask_bytes(size_lo, len(lo_weights)) <= MASK_BUDGET:
+        masks = _mask_table(q, n // 2, key)
+    else:
+        # the masks of the low parts kept, for the cuts this call uses: a low
+        # word is in M(l, cut) when the offset that takes l to it comes
+        # before the cut in weight order
+        used = sorted({own, *(c for c, _, _ in runs)})
+        lo_translates = _translates(q, n // 2, key, 0, lo_cuts[own], budget)
+        order = np.arange(lo_cuts[own])
+        cuts = np.array([lo_cuts[c] for c in used])[:, None]
+        nbytes = -(-size_lo // 8)
+        masks = [None] * size_lo
 
-    def lo_masks(l: int) -> list[int]:
-        # M(l, width) for every width: a low word is in M(l, width) when the
-        # offset that takes l to it comes before ``width`` in weight order
-        rank = np.full(size_lo, widths[0])
-        rank[lo_translates(l)] = order
-        buf = np.packbits(rank < widths[:, None], axis=1, bitorder="little").tobytes()
-        return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+        def lo_masks(l: int) -> list[int]:
+            rank = np.full(size_lo, lo_cuts[own])
+            rank[lo_translates(l)] = order
+            buf = np.packbits(rank < cuts, axis=1, bitorder="little").tobytes()
+            out = [0] * (own + 1)  # indexed by cut, as the table's entries
+            for i, c in enumerate(used):
+                out[c] = int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
+            return out
 
-    masks: list[list[int] | None] = [None] * size_lo
     rows = [(1 << size_lo) - 1] * (total // size_lo)
     kept = []
     for h, row in enumerate(rows):
         if not row:
             continue
         row_kept = []
+        base = h * size_lo
         while row:
             l = (row & -row).bit_length() - 1
             row_kept.append(l)
+            kept.append(base + l)
             if masks[l] is None:
                 masks[l] = lo_masks(l)
-            row &= ~masks[l][0]
-        kept.append(h * size_lo + np.array(row_kept))
+            row &= ~masks[l][own]
         targets = hi_translates(h).tolist()
-        for k, a, b in runs:
+        for c, a, b in runs:
             clear = 0
             for l in row_kept:
-                clear |= masks[l][k]
+                clear |= masks[l][c]
             clear = ~clear
             for t in targets[a:b]:
                 if t > h:  # rows up to h are scanned already
                     rows[t] &= clear
-    return digits(np.concatenate(kept), q, n)
+    return digits(kept, q, n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -332,62 +408,72 @@ def _offsets(q: int, n: int, table: tuple[int, ...]):
     """The nonzero offsets of Z_q^n for :func:`far_apart`, one of each pair
     (o, -o), stably sorted by weight under ``table``.
 
-    Returns their weights and their digits (n x K, one row per digit).  The
-    arrays are read-only.
+    Returns their weights, their digits (n x K, one row per digit), the place
+    values of the n digits, and the fold table: fold[j, a + b] is
+    ((a + b) mod q) q^(n-1-j) for digits a, b < q.  The arrays are
+    read-only.  Raises ValueError for a table that is not symmetric.
     """
     tab = np.asarray(table, dtype=np.int64)
-    place = (q ** np.arange(n)).tolist()
+    if not np.array_equal(tab, tab[-np.arange(q) % q]):
+        raise ValueError("the distance check needs a table with table[r] == table[-r mod q]")
+    place = q ** np.arange(n - 1, -1, -1)
     index = np.arange(q**n)
     # the offsets no greater than their negation; offset 0 is its own
-    index = np.flatnonzero(index <= sum(-(index // p) % q * p for p in place))[1:]
-    wt = sum(tab[index // p % q] for p in place)
+    index = np.flatnonzero(index <= sum(-(index // p) % q * p for p in place.tolist()))[1:]
+    wt = sum(tab[index // p % q] for p in place.tolist())
     order = np.argsort(wt, kind="stable")
-    out = wt[order], digits(index[order], q, n).T.copy()
+    fold = np.arange(2 * q - 1) % q * place[:, None]
+    out = wt[order], digits(index[order], q, n).T.copy(), place, fold
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[bool, int]:
+def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[bool, int, int]:
     """Whether every two word rows are at difference weight >= d under the
-    symmetric per-residue ``table``, and the number of translates looked up.
+    symmetric per-residue ``table``, and the number of translates looked up
+    and of pairs scanned.
 
-    An exact translate check: the verdict is ``min_dist_words(words, table,
-    q) >= d``.  The weight of u - v is translation invariant, so the set is
-    at weight >= d exactly when no word plus a nonzero offset o of weight
-    <= d-1 is a word of the set, and equal words (weight n table[0]) are not
-    closer than d.  With table[r] == table[-r mod q], o and -o weigh the same
-    and find the same pairs, so one of each pair is looked up.
+    The verdict is ``min_dist_words(words, table, q) >= d``, found by
+    whichever of two exact checks has less to look at.  With K the offsets
+    of weight <= d-1 (one of each pair, below), a set of m words has m K
+    translates and m (m - 1) / 2 pairs:
 
-    The word indices are marked in a q^n boolean mask.  The offsets of Z_q^n
-    are listed once per (q, n, table), sorted by weight (:func:`_offsets`),
-    so the offsets of weight <= d-1 are a prefix.  The index of w + o is
-    summed digit by digit, each digit read from a table of length 2q - 1
-    that folds the reduction mod q and the place value into the unreduced
-    sum of a word digit and an offset digit.  A block of words costs n
-    passes and one gather of the mask, within SWEEP_BUDGET translates, and
-    the check stops at the first block that meets the set.  Memory: the
-    mask, the q^n / 2 offsets and one block; no table grows with q^2.
+    - pairs, when m - 1 < 2 K: the Gram scan :func:`min_dist_words` itself;
+    - translates, otherwise.  The weight of u - v is translation invariant,
+      so the set is at weight >= d exactly when no word plus a nonzero
+      offset o of weight <= d-1 is a word of the set, and equal words
+      (weight n table[0]) are not closer than d.  With table[r] ==
+      table[-r mod q], o and -o weigh the same and find the same pairs, so
+      one of each pair is looked up.
 
-    This is a check of :func:`greedy_lex` and shares no code with it;
-    :func:`min_dist_words`, a pairwise scan, is its cross-check.  Raises
-    ValueError for a table that is not symmetric.
+    For the translates, the word indices are marked in a q^n boolean mask.
+    The offsets of Z_q^n are listed once per (q, n, table), sorted by weight
+    (:func:`_offsets`), so the offsets of weight <= d-1 are a prefix.  The
+    index of w + o is summed digit by digit, each digit read from a table of
+    length 2q - 1 that folds the reduction mod q and the place value into
+    the unreduced sum of a word digit and an offset digit.  A block of words
+    costs n passes and one gather of the mask, within SWEEP_BUDGET
+    translates, and the check stops at the first block that meets the set.
+    Memory: the mask, the q^n / 2 offsets and one block; no table grows with
+    q^2.
+
+    This is a check of :func:`greedy_lex` and shares no code with it.  The
+    tests cross-check both paths against a pairwise scan in plain Python.
+    Raises ValueError for a table that is not symmetric.
     """
     tab = np.asarray(table, dtype=np.int64)
-    if not np.array_equal(tab, tab[-np.arange(q) % q]):
-        raise ValueError("the translate check needs a table with table[r] == table[-r mod q]")
     w = np.asarray(words, dtype=np.int64)
     m, n = w.shape
-    wt, offs = _offsets(q, n, tuple(tab.tolist()))
-    place = q ** np.arange(n - 1, -1, -1)
+    wt, offs, place, fold = _offsets(q, n, tuple(tab.tolist()))
+    size = int(wt.searchsorted(d - 1, side="right"))
+    if m - 1 < 2 * size:  # fewer pairs than translates
+        return min_dist_words(w, tab, q) >= d, 0, m * (m - 1) // 2
     mask = np.zeros(q**n, dtype=bool)
     mask[w @ place] = True
     if np.count_nonzero(mask) < m and n * int(tab[0]) <= d - 1:
-        return False, 0  # a repeated word
-    size = int(wt.searchsorted(d - 1, side="right"))
+        return False, 0, 0  # a repeated word
     offs = offs[:, :size]
-    # fold[j, a + b] is ((a + b) mod q) q^(n-1-j) for digits a, b < q
-    fold = np.arange(2 * q - 1) % q * place[:, None]
     rows = max(1, SWEEP_BUDGET // max(size, 1))
     looked = 0
     for s in range(0, m if size else 0, rows):
@@ -397,8 +483,8 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
             translates += fold[j][block[:, j, None] + offs[j]]
         looked += translates.size
         if mask[translates].any():
-            return False, looked
-    return True, looked
+            return False, looked, 0
+    return True, looked, 0
 
 
 def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:

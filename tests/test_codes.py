@@ -144,10 +144,8 @@ def test_greedy_translate_tables_match_digits(q, m):
             assert tables(w).tolist() == by_digits(w).tolist() == want
 
 
-def test_gilbert_criterion_sets_are_pinned():
-    # the 210 greedy sets of the gilbert criterion, in its order, as int64
-    # bytes, pinned from the boolean-mask kernel that the bit rows replaced:
-    # a change to any set shows here
+def _gilbert_digest():
+    # the 210 greedy sets of the gilbert criterion, in its order, as int64 bytes
     digest = hashlib.sha256()
     runs = words = 0
     for q in range(2, 6):
@@ -158,8 +156,57 @@ def test_gilbert_criterion_sets_are_pinned():
                 digest.update(found.astype(np.int64).tobytes())
                 runs += 1
                 words += found.shape[0]
-    assert (runs, words) == (210, 38420)
-    assert digest.hexdigest() == "79b2ae1d7add86d1098ba038c5121129320860a32f83c5f09fab34747fcccc03"
+    return runs, words, digest.hexdigest()
+
+
+#: pinned from the boolean-mask kernel that the bit rows replaced
+GILBERT_DIGEST = "79b2ae1d7add86d1098ba038c5121129320860a32f83c5f09fab34747fcccc03"
+
+
+def test_gilbert_criterion_sets_are_pinned():
+    # a change to any of the 210 sets shows here
+    assert _gilbert_digest() == (210, 38420, GILBERT_DIGEST)
+
+
+def test_gilbert_sets_are_pinned_over_the_mask_budget(monkeypatch):
+    # with no mask table kept, every call builds the masks of the low parts
+    # it keeps, and the 210 sets are the same
+    monkeypatch.setattr(kernels, "MASK_BUDGET", 0)
+    kernels._mask_table.cache_clear()
+    assert _gilbert_digest() == (210, 38420, GILBERT_DIGEST)
+    assert kernels._mask_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "q,m,table",
+    [(2, 0, [0, 1]), (3, 2, [0, 1, 1]), (5, 2, [0, 1, 4, 4, 1]), (5, 2, [0, 1, 4, 2, 3]),
+     (4, 3, [0, 0, 1, 1]), (60, 1, None)],
+)
+def test_greedy_mask_table_holds_the_translates_of_each_cut(q, m, table):
+    # entry [l][c]: bit j set when (j - l) mod q weighs at most the c-th
+    # distinct weight of Z_q^m; the table stays within its byte estimate
+    table = euclid.constellation(q).euclid_table.tolist() if table is None else table
+    key = tuple(table)
+    weights, cuts = kernels._weight_cuts(q, m, key)
+    words = list(itertools.product(range(q), repeat=m))
+    offsets = [sum(table[a] for a in word) for word in words]
+    assert weights == sorted(set(offsets))
+    assert cuts == [sum(o <= w for o in offsets) for w in weights]
+    kernels._mask_table.cache_clear()
+    tracemalloc.start()
+    try:
+        masks = kernels._mask_table(q, m, key)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= kernels._mask_bytes(q**m, len(weights))
+    for l, low in enumerate(words):
+        for c, w in enumerate(weights):
+            want = sum(
+                1 << j for j, word in enumerate(words)
+                if sum(table[(a - b) % q] for a, b in zip(word, low)) <= w
+            )
+            assert masks[l][c] == want
 
 
 def test_greedy_half_spaces_are_kept_per_table():
@@ -190,10 +237,12 @@ def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
     # table of the whole ball or of translates over the word space would not fit
     table = euclid.constellation(q).euclid_table
     kernels.greedy_lex(q, 2, d, table)  # warm up numpy's caches
-    # the half spaces and split tables are cached across calls: clear them, so
-    # the traced call counts every table it builds
+    # the half spaces, split tables and mask tables are cached across calls:
+    # clear them, so the traced call counts every table it builds
     kernels._half_space.cache_clear()
     kernels._split_tables.cache_clear()
+    kernels._weight_cuts.cache_clear()
+    kernels._mask_table.cache_clear()
     tracemalloc.start()
     try:
         words = kernels.greedy_lex(q, n, d, table)
@@ -201,6 +250,42 @@ def test_greedy_kernel_memory_stays_near_the_mask(q, n, d):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * q**n + 16 * words.shape[0] * n
+
+
+# the mask table of (60, 3, 900), the largest of the cases above that fits
+# MASK_BUDGET, is kept; (1000, 2, 10000)'s would take about 84 MB and is not
+@pytest.mark.parametrize("q,n,d,kept", [(60, 3, 900, 1), (1000, 2, 10000, 0)])
+def test_greedy_mask_table_held_within_its_budget(q, n, d, kept):
+    # what greedy_lex leaves allocated once it returns, with its half spaces
+    # and split tables built by a first call, is its mask table or nothing
+    table = euclid.constellation(q).euclid_table
+    want = kernels.greedy_lex(q, n, d, table)
+    kernels._mask_table.cache_clear()
+    tracemalloc.start()
+    try:
+        words = kernels.greedy_lex(q, n, d, table)
+        same = np.array_equal(words, want)
+        del words
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert kernels._mask_table.cache_info().currsize == kept
+    assert held <= kernels.MASK_BUDGET
+
+
+# low half spaces whose mask tables are over MASK_BUDGET: (100, 1), (4, 4)
+# and (6, 3); each call builds the masks of the low parts it keeps
+@pytest.mark.parametrize("q,n,d", [(100, 2, 300), (4, 8, 10), (6, 6, 20)])
+def test_greedy_over_the_mask_budget_matches_pairwise_oracle(q, n, d):
+    table = euclid.constellation(q).euclid_table
+    key = tuple(table.tolist())
+    size = len(kernels._weight_cuts(q, n // 2, key)[0])
+    assert kernels._mask_bytes(q ** (n // 2), size) > kernels.MASK_BUDGET
+    kernels._mask_table.cache_clear()
+    words = kernels.greedy_lex(q, n, d, table)
+    assert kernels._mask_table.cache_info().currsize == 0
+    assert words.tolist() == _greedy_oracle(q, n, d, table.tolist())
 
 
 def test_greedy_scale_guard():
