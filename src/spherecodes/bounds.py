@@ -65,21 +65,14 @@ REGION_DEMO_X = -640.48
 ENVELOPE_DEMO_LAMBDA = 0.976
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _require_finite_x(x: float) -> None:
-    """:func:`_require_finite` for the one argument x, without building a dict."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+def _require_finite(value: float, name: str = "x") -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def shannon_rate(x: float) -> float:
     """1 - (1/2) log2(rho (4 - rho)) at x = ln rho, rho in (0, 4)."""
-    _require_finite_x(x)
+    _require_finite(x)
     if x >= LN4:
         raise ValueError(f"rho must lie in (0, 4), got ln rho = {x!r}")
     # ln(4 - e^x) = ln 4 + log1p(-e^x / 4), exact for all x < ln 4
@@ -89,7 +82,7 @@ def shannon_rate(x: float) -> float:
 
 def lattice_rate(x: float) -> float:
     """-(1/2) log2(rho) = -x / (2 ln 2)."""
-    _require_finite_x(x)
+    _require_finite(x)
     return -0.5 * x / LN2
 
 
@@ -105,7 +98,7 @@ def lachaud_stern_rate(x: float) -> float:
 
 def shannon_lattice_gap(x: float) -> float:
     """Exact gap shannon - lattice = -(1/2) log2(1 - rho/4), computed stably."""
-    _require_finite_x(x)
+    _require_finite(x)
     if x >= LN4:
         raise ValueError("rho must lie in (0, 4)")
     return -0.5 * math.log1p(-math.exp(x) / 4.0) / LN2
@@ -133,7 +126,7 @@ def gilbert_yaglom_rate(q: int, x: float) -> float:
     gives log2(q) too; below x = -708, lambda is subnormal and the solver
     cannot be used.
     """
-    _require_finite_x(x)
+    _require_finite(x)
     if x > 0.0:
         raise ValueError(f"rho must lie in (0, 1], got ln rho = {x!r}")
     c = constellation(q)
@@ -163,14 +156,15 @@ class TangentLine:
 
     def rate_at(self, x: float) -> float:
         """Rate of the tangent at x = ln rho."""
-        _require_finite_x(x)
+        _require_finite(x)
         return self.B * -math.expm1(x - self.ln_a)
 
 
 def tangent_line(x0: float, lam: float = 1.0) -> TangentLine:
     """Tangent of (rho, lam * lattice_rate) at x0 = ln rho0; degenerate for
     rho0 >= e."""
-    _require_finite(x0=x0, lam=lam)
+    _require_finite(x0, "x0")
+    _require_finite(lam, "lam")
     if x0 >= 1.0:
         raise ValueError(f"tangent degenerates for rho0 >= e (got ln rho0 = {x0!r})")
     one_minus = 1.0 - x0
@@ -235,7 +229,7 @@ def tvz_line(params: TVZParams, x: float) -> float:
 
     R = [(p-t-1) log2(p) / (p-1)] * (f_Q - rho (p-1)^3 / (8t)).
     """
-    _require_finite_x(x)
+    _require_finite(x)
     ln_p1 = math.log(params.p - 1)
     if params.t is not None:
         prefactor = (params.p - params.t - 1) * math.log2(params.p) / (params.p - 1)
@@ -252,7 +246,9 @@ def region_residual(x: float, y: float, lam: float) -> float:
 
     Returns +inf when the exponential alone overflows the double range.
     """
-    _require_finite(x=x, y=y, lam=lam)
+    _require_finite(x)
+    _require_finite(y, "y")
+    _require_finite(lam, "lam")
     if y <= 0.0:
         raise ValueError(f"y must be positive, got {y!r}")
     if x >= 1.0:
@@ -270,7 +266,9 @@ def tau_window(x: float, y: float, lam: float) -> tuple[float, float]:
 
     Nonempty exactly when region_residual(x, y, lam) <= 0.
     """
-    _require_finite(x=x, y=y, lam=lam)
+    _require_finite(x)
+    _require_finite(y, "y")
+    _require_finite(lam, "lam")
     if y <= 0.0:
         raise ValueError(f"y must be positive, got {y!r}")
     if x >= 1.0:
@@ -364,9 +362,11 @@ def emit_curve(
         if value is None and name not in curve.optional:
             raise ValueError(f"the {kind} curve needs the parameter {name!r}")
         args[name] = None if value is None else convert(value)
-    _require_finite(
-        x_min=x_min, x_max=x_max, **{k: v for k, v in args.items() if isinstance(v, float)}
-    )
+    _require_finite(x_min, "x_min")
+    _require_finite(x_max, "x_max")
+    for name, value in args.items():
+        if isinstance(value, float):
+            _require_finite(value, name)
     if x_max < x_min:
         raise ValueError("x_max must be >= x_min")
     if samples == 1:

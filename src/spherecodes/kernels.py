@@ -7,17 +7,17 @@ cleared by one OR per run of high offsets of equal width and one AND per
 later row), whose half balls are prefixes of half spaces sorted once per
 alphabet, length and table, and whose low-half translates are read from a
 table of bit masks built once per low half space while it fits
-MASK_BUDGET; a distance check of a word set, which looks up each word's
-translates by the offsets of weight below the distance in a mask of the
-set, computing them digit by digit, or scans its pairs when they are fewer;
-an exact integer Gram scan for word sets, which is that pair scan; a float
-pair scan that estimates square tiles of pairs by a BLAS Gram product and
-re-measures by the direct formula every pair that could be the minimum; and
-a meet-in-the-middle codeword weight sweep that pairs the overlap classes
-of the two message halves instead of their codewords, and only the pairs
-whose own-column weights leave room below the best weight found.  All but
-the greedy masks are numpy.  Both pair scans walk the same tiles.  The
-distance check shares no code with the greedy selection it checks.
+MASK_BUDGET; a translate check of a word set's distance, which looks up
+each word's translates by the offsets of weight below the distance in a
+mask of the set, computing them digit by digit; an exact integer Gram scan
+for word sets; a float pair scan that estimates square tiles of pairs by a
+BLAS Gram product and re-measures by the direct formula every pair that
+could be the minimum; and a meet-in-the-middle codeword weight sweep that
+pairs the overlap classes of the two message halves instead of their
+codewords, and only the pairs whose own-column weights leave room below
+the best weight found.  All but the greedy masks are numpy.  Both pair
+scans walk the same tiles.  The translate check shares no code with the
+greedy selection it checks, and the Gram scan is its cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -33,7 +33,7 @@ import numpy as np
 
 #: elements per working array of the codeword sweep
 SWEEP_BUDGET = 1 << 20
-#: bytes a greedy mask table may take to be kept (:func:`_mask_table`)
+#: mask bits a greedy mask table may hold to be kept (:func:`_mask_table`)
 MASK_BUDGET = 1 << 18
 
 
@@ -231,15 +231,6 @@ def _weight_cuts(q: int, m: int, table: tuple[int, ...]) -> tuple[list[int], lis
     return wt[ends - 1].tolist(), ends.tolist()
 
 
-def _mask_bytes(size: int, cuts: int) -> int:
-    """An upper bound on the bytes of a mask table (:func:`_mask_table`) of
-    ``size`` low parts and ``cuts`` cuts.  Per int of at most ``size`` bits:
-    a 24-byte header, 4 bytes per 30 bits, up to 16 of alignment and its
-    tuple slot; per low part, a tuple of 56 bytes and its slot; and 1 KiB
-    for the cache entry."""
-    return 1024 + size * (64 + cuts * (48 + 4 * -(-size // 30)))
-
-
 @functools.lru_cache(maxsize=32)
 def _mask_table(q: int, m: int, table: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The low-half masks of :func:`greedy_lex` for Z_q^m: entry [l][c] is
@@ -251,7 +242,7 @@ def _mask_table(q: int, m: int, table: tuple[int, ...]) -> tuple[tuple[int, ...]
     weight, read for every l and j from one array of these weights, summed
     digit by digit, one packbits per cut.  Built once per (q, m, table) and
     shared by every d and every n with n // 2 = m; :func:`greedy_lex` takes
-    it only while :func:`_mask_bytes` stays within MASK_BUDGET.
+    it only while its q^m x q^m bits per cut stay within MASK_BUDGET.
     """
     size = q**m
     weights = _weight_cuts(q, m, table)[0]
@@ -316,7 +307,7 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     entries (half a byte per word) or 4096; a wider ball has its translates
     computed from digits, once per row.  The masks M(l, r) of every low part
     and radius are read from a table built once per (q, n//2, table)
-    (:func:`_mask_table`) while it takes at most MASK_BUDGET bytes; else
+    (:func:`_mask_table`) while it holds at most MASK_BUDGET bits; else
     each call builds the masks of the low parts it keeps, from their
     translates by the low ball, read or computed in the same way.
 
@@ -355,7 +346,7 @@ def greedy_lex(q: int, n: int, d: int, table: np.ndarray) -> np.ndarray:
     # the tables of each half take at most half a byte per word, or 16 kB
     budget = max(total // 8, 1 << 12)
     hi_translates = _translates(q, n - n // 2, key, 1, start, budget)
-    if _mask_bytes(size_lo, len(lo_weights)) <= MASK_BUDGET:
+    if size_lo * size_lo * len(lo_weights) <= MASK_BUDGET:
         masks = _mask_table(q, n // 2, key)
     else:
         # the masks of the low parts kept, for the cuts this call uses: a low
@@ -415,7 +406,7 @@ def _offsets(q: int, n: int, table: tuple[int, ...]):
     """
     tab = np.asarray(table, dtype=np.int64)
     if not np.array_equal(tab, tab[-np.arange(q) % q]):
-        raise ValueError("the distance check needs a table with table[r] == table[-r mod q]")
+        raise ValueError("the translate check needs a table with table[r] == table[-r mod q]")
     place = q ** np.arange(n - 1, -1, -1)
     index = np.arange(q**n)
     # the offsets no greater than their negation; offset 0 is its own
@@ -429,50 +420,43 @@ def _offsets(q: int, n: int, table: tuple[int, ...]):
     return out
 
 
-def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[bool, int, int]:
+def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[bool, int]:
     """Whether every two word rows are at difference weight >= d under the
-    symmetric per-residue ``table``, and the number of translates looked up
-    and of pairs scanned.
+    symmetric per-residue ``table``, and the number of translates looked up.
 
-    The verdict is ``min_dist_words(words, table, q) >= d``, found by
-    whichever of two exact checks has less to look at.  With K the offsets
-    of weight <= d-1 (one of each pair, below), a set of m words has m K
-    translates and m (m - 1) / 2 pairs:
+    An exact translate check: the verdict is ``min_dist_words(words, table,
+    q) >= d``.  The weight of u - v is translation invariant, so the set is
+    at weight >= d exactly when no word plus a nonzero offset o of weight
+    <= d-1 is a word of the set, and equal words (weight n table[0]) are not
+    closer than d.  With table[r] == table[-r mod q], o and -o weigh the same
+    and find the same pairs, so one of each pair is looked up.
 
-    - pairs, when m - 1 < 2 K: the Gram scan :func:`min_dist_words` itself;
-    - translates, otherwise.  The weight of u - v is translation invariant,
-      so the set is at weight >= d exactly when no word plus a nonzero
-      offset o of weight <= d-1 is a word of the set, and equal words
-      (weight n table[0]) are not closer than d.  With table[r] ==
-      table[-r mod q], o and -o weigh the same and find the same pairs, so
-      one of each pair is looked up.
-
-    For the translates, the word indices are marked in a q^n boolean mask.
-    The offsets of Z_q^n are listed once per (q, n, table), sorted by weight
+    The word indices are marked in a q^n boolean mask.  The offsets of Z_q^n
+    are listed once per (q, n, table), sorted by weight, with the table's
+    symmetry checked and the place values and fold table built
     (:func:`_offsets`), so the offsets of weight <= d-1 are a prefix.  The
-    index of w + o is summed digit by digit, each digit read from a table of
-    length 2q - 1 that folds the reduction mod q and the place value into
-    the unreduced sum of a word digit and an offset digit.  A block of words
-    costs n passes and one gather of the mask, within SWEEP_BUDGET
-    translates, and the check stops at the first block that meets the set.
-    Memory: the mask, the q^n / 2 offsets and one block; no table grows with
-    q^2.
+    index of w + o is summed digit by digit, each digit read from the fold
+    table, of length 2q - 1, which folds the reduction mod q and the place
+    value into the unreduced sum of a word digit and an offset digit.  A
+    block of words costs n passes and one gather of the mask, within
+    SWEEP_BUDGET translates, and the check stops at the first block that
+    meets the set.  Memory: the mask, the q^n / 2 offsets and one block; no
+    table grows with q^2.
 
-    This is a check of :func:`greedy_lex` and shares no code with it.  The
-    tests cross-check both paths against a pairwise scan in plain Python.
-    Raises ValueError for a table that is not symmetric.
+    This is a check of :func:`greedy_lex` and shares no code with it;
+    :func:`min_dist_words`, a pairwise scan, is its cross-check, and the
+    tests compare it with a pairwise scan in plain Python too.  Raises
+    ValueError for a table that is not symmetric.
     """
     tab = np.asarray(table, dtype=np.int64)
     w = np.asarray(words, dtype=np.int64)
     m, n = w.shape
     wt, offs, place, fold = _offsets(q, n, tuple(tab.tolist()))
-    size = int(wt.searchsorted(d - 1, side="right"))
-    if m - 1 < 2 * size:  # fewer pairs than translates
-        return min_dist_words(w, tab, q) >= d, 0, m * (m - 1) // 2
     mask = np.zeros(q**n, dtype=bool)
     mask[w @ place] = True
     if np.count_nonzero(mask) < m and n * int(tab[0]) <= d - 1:
-        return False, 0, 0  # a repeated word
+        return False, 0  # a repeated word
+    size = int(wt.searchsorted(d - 1, side="right"))
     offs = offs[:, :size]
     rows = max(1, SWEEP_BUDGET // max(size, 1))
     looked = 0
@@ -483,8 +467,8 @@ def far_apart(words: np.ndarray, q: int, table: np.ndarray, d: int) -> tuple[boo
             translates += fold[j][block[:, j, None] + offs[j]]
         looked += translates.size
         if mask[translates].any():
-            return False, looked, 0
-    return True, looked, 0
+            return False, looked
+    return True, looked
 
 
 def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:

@@ -443,14 +443,13 @@ def test_gilbert_criterion_checks_distance_at_d_2(capsys, monkeypatch):
 
 
 def test_gilbert_criterion_counts_its_translates(capsys):
-    # the work of the distance check is exact and repeats: each set is checked
-    # by its translates or by its pairs, whichever are fewer
+    # the work of the distance check is exact and repeats
     for _ in range(2):
         code, out, _ = run_cli(capsys, "verify", "--only", "gilbert")
         assert code == 0
         assert (
             "min distance on the 210 sets of at least 2 words "
-            "by translates on 47 (175796 looked up) and by pairs on 163 (34425 scanned)" in out
+            "by translate tables (1062263 translates)" in out
         )
 
 
