@@ -364,37 +364,38 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
 def test_entry_points_reject_non_finite_input(bad):
-    with pytest.raises(ValueError, match="finite"):
+    # each error names the argument that is not finite
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.shannon_rate(x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.lattice_rate(x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.shannon_lattice_gap(x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.gilbert_yaglom_rate(3, x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.tvz_line(bounds.TVZParams(p=7, t=2), x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.tangent_line(x0=-1.0).rate_at(x=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.region_residual(bad, 1.0, 0.98)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^y must be finite"):
         bounds.region_residual(-1.0, bad, 0.98)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^lam must be finite"):
         bounds.region_residual(-1.0, 1.0, bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         bounds.tau_window(bad, 1.0, 0.98)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^y must be finite"):
         bounds.tau_window(-1.0, bad, 0.98)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^lam must be finite"):
         bounds.tau_window(-1.0, 1.0, bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x0 must be finite"):
         bounds.tangent_line(x0=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^lam must be finite"):
         bounds.tangent_line(x0=-1.0, lam=bad)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x_min must be finite"):
         bounds.emit_curve("shannon", None, bad, 0.0, 3)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^x_max must be finite"):
         bounds.emit_curve("shannon", None, -1.0, bad, 3)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^lam must be finite"):
         bounds.emit_curve("scaled_shannon", {"lam": bad}, -2.0, -1.0, 3)
