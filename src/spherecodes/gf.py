@@ -2,11 +2,13 @@
 
 Extension-field elements are identified with integers in [0, p^k): the value
 sum_i c_i p^i encodes the polynomial sum_i c_i z^i taken modulo a fixed monic
-irreducible.  Multiplication goes through discrete log/antilog tables built
-from a primitive element, addition through a Zech-logarithm table
-(1 + g^i = g^zech[i]), so every table has O(p^k) entries and bulk encoding
-vectorizes with numpy fancy indexing.  Table construction is guarded to small
-fields; that is all the desk-scale constructions need.
+irreducible.  The field is built from one arithmetic, k x k matrices over
+GF(p), starting from the matrix Z of multiplication by z.  Multiplication
+goes through discrete log/antilog tables built from a primitive element,
+addition through a Zech-logarithm table (1 + g^i = g^zech[i]), so every
+table has O(p^k) entries and bulk encoding vectorizes with numpy fancy
+indexing.  Table construction is guarded to small fields; that is all the
+desk-scale constructions need.
 """
 
 from __future__ import annotations
@@ -89,94 +91,66 @@ def smallest_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for {p}")  # pragma: no cover
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p) (coefficient lists, ascending degree)
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, mod, p)
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    _poly_trim(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while a and len(a) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % p
-        for j, mj in enumerate(mod):
-            a[shift + j] = (a[shift + j] - factor * mj) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(a, mod, p)
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by repeated squaring, for a k x k matrix over GF(p) or a
+    stack of them (int64 entries in [0, p), exact while k p^2 < 2^63)."""
+    out = np.eye(m.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
+            out = out @ m % p
+        m = m @ m % p
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while _poly_trim(b):
-        a, b = b, _poly_rem(a, b, p)
-    return _poly_trim(a)
+def _companion(coeffs, p: int) -> np.ndarray:
+    """Matrix Z of multiplication by z on digit row vectors modulo the
+    polynomial ``coeffs`` (ascending): row j holds the digits of z^(j+1)."""
+    k = len(coeffs) - 1
+    if k * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"GF({p}) matrices of size {k} overflow int64")
+    lead = coeffs[-1] % p
+    if lead == 0:
+        raise ValueError(f"leading coefficient {coeffs[-1]} is 0 mod {p}")
+    z = np.eye(k, k, 1, dtype=np.int64)
+    # z^k = -(c_0 + ... + c_(k-1) z^(k-1)) / lead
+    z[-1] = np.array(coeffs[:-1], dtype=np.int64) * -pow(lead, -1, p) % p
+    return z
+
+
+def _is_unit(m: np.ndarray, p: int) -> bool:
+    """Whether the square matrix m is invertible mod p, by elimination."""
+    m = m % p
+    for c in range(len(m)):
+        rows = np.flatnonzero(m[c:, c])
+        if not len(rows):
+            return False
+        m[[c, c + rows[0]]] = m[[c + rows[0], c]]
+        m[c] = m[c] * pow(int(m[c, c]), -1, p) % p
+        m[c + 1 :] = (m[c + 1 :] - np.outer(m[c + 1 :, c], m[c])) % p
+    return True
 
 
 def is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p), ascending coefficients."""
+    """Rabin test over GF(p), ascending coefficients, on the matrix Z of
+    multiplication by z: degree k is irreducible iff Z^(p^k) = Z and, for
+    each prime l dividing k, Z^(p^(k/l)) - Z is invertible (z^(p^(k/l)) - z
+    is a unit, i.e. prime to the modulus).  A non-monic modulus gets the
+    verdict of its monic multiple; a leading coefficient 0 mod p raises."""
     k = len(coeffs) - 1
     if k < 1:
         return False
-    x = _poly_rem([0, 1], coeffs, p)  # z itself is reduced when k == 1
-    xq = _poly_powmod(x, p**k, coeffs, p)
-    if _poly_sub(xq, x, p):
+    z = _companion(coeffs, p)
+    if not np.array_equal(_mat_pow(z, p**k, p), z):
         return False
-    for ell in factorize(k):
-        xql = _poly_powmod(x, p ** (k // ell), coeffs, p)
-        diff = _poly_sub(xql, x, p)
-        if not diff:
-            return False
-        if len(_poly_gcd(coeffs, diff, p)) > 1:
-            return False
-    return True
+    return all(_is_unit(_mat_pow(z, p ** (k // ell), p) - z, p) for ell in factorize(k))
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible z^k + ... over GF(p) in counting order of the
     lower coefficients (constant term least significant)."""
     for m in range(p**k):
-        coeffs = []
-        v = m
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
+        coeffs = [m // p**i % p for i in range(k)] + [1]
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise ArithmeticError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
@@ -187,12 +161,13 @@ class ExtField:
     """GF(p^k) with integer-encoded elements and vectorized table arithmetic,
     modulo the irreducible :func:`find_irreducible` gives.
 
-    The power table of the generator g is built by doubling: the digit rows
-    of g^0 .. g^(c-1) times the matrix of multiplication by g^c give
-    g^c .. g^(2c-1), and squaring that matrix gives the next step, so
-    Q = p^k takes about log2 Q numpy products.  The log and Zech tables
-    follow from it by gathers.  Most of the build is then the search for
-    the irreducible and the generator.
+    The build is GF(p) matrix arithmetic in the companion matrix Z of that
+    modulus.  The generator g is the smallest element whose matrix
+    sum_i g_i Z^i has order Q - 1.  Its power table is built by doubling:
+    the digit rows of g^0 .. g^(c-1) times the matrix of multiplication by
+    g^c give g^c .. g^(2c-1), and squaring that matrix gives the next step,
+    so Q = p^k takes about log2 Q numpy products.  The log and Zech tables
+    follow from it by gathers.
     """
 
     p: int
@@ -230,27 +205,22 @@ class ExtField:
 
     def _build_tables(self):
         q, p, k = self.Q, self.p, self.k
-        mod = list(self.irreducible)
-        places = [p**i for i in range(k)]
-
-        def digits(v: int) -> list[int]:
-            return [v // place % p for place in places]
-
+        z = _companion(self.irreducible, p)
+        z_powers = np.stack([_mat_pow(z, i, p) for i in range(k)])
         # primitive element: smallest integer encoding with multiplicative
-        # order q - 1 (the element 1 only for GF(2))
-        fac = list(factorize(q - 1))
-
-        def full_order(g: int) -> bool:
-            return all(_poly_powmod(digits(g), (q - 1) // f, mod, p) != [1] for f in fac)
-
-        gen = next(g for g in range(1, q) if full_order(g))
-        self.generator = gen
-        # the GF(p)-linear map "multiply by the generator" on digit row
-        # vectors: row j holds the digits of z^j * generator
-        step = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            row = _poly_mul_mod([0] * j + [1], digits(gen), mod, p)
-            step[j, : len(row)] = row
+        # order q - 1 (the element 1 only for GF(2)), tested 16 candidates at
+        # a time.  The GF(p)-linear map "multiply by g" on digit row vectors
+        # is sum_i g_i Z^i: its row j holds the digits of z^j * g.
+        for first in range(1, q, 16):
+            candidates = np.arange(first, min(first + 16, q))
+            m = np.tensordot(self.to_digits(candidates), z_powers, 1) % p
+            full = np.ones(len(candidates), dtype=bool)
+            for f in factorize(q - 1):
+                full &= (_mat_pow(m, (q - 1) // f, p) != z_powers[0]).any(axis=(1, 2))
+            if full.any():
+                break
+        self.generator = int(candidates[full.argmax()])
+        step = m[full.argmax()]
         # powers by doubling: while the rows hold the digits of g^0 .. g^(c-1)
         # and step multiplies by g^c, the rows times step are g^c .. g^(2c-1)
         # (entries below k p^2 <= p MAX_TABLE_FIELD, exact in int64)
@@ -258,7 +228,7 @@ class ExtField:
         while len(powers) < q - 1:
             powers = np.concatenate([powers, powers @ step % p])
             step = step @ step % p
-        exp = powers[: q - 1] @ np.array(places, dtype=np.int64)
+        exp = self.from_digits(powers[: q - 1])
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         # Zech logarithms: 1 + g^i = g^zech[i], -1 where 1 + g^i = 0; adding
@@ -332,6 +302,8 @@ class RSCode:
         msgs = np.atleast_2d(np.asarray(messages, dtype=np.int64))
         if msgs.shape[1] != self.k_out:
             raise ValueError(f"messages must have {self.k_out} symbols")
+        if msgs.size and not 0 <= msgs.min() <= msgs.max() < self.fld.Q:
+            raise ValueError(f"message symbols must lie in [0, {self.fld.Q})")
         m = msgs.shape[0]
         out = np.zeros((m, self.n_out), dtype=np.int64)
         pts = np.broadcast_to(self.points, (m, self.n_out))

@@ -49,9 +49,49 @@ def test_irreducible_search():
     assert not gf.is_irreducible([-2 % 7, 0, 1], 7)
 
 
+def _mobius(n):
+    f = gf.factorize(n)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+# k = 6 stays in the grid: a test that checks only Z^(p^(k/l)) != Z in place
+# of the unit test first goes wrong there, over GF(2) and GF(3)
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 7)]
+    + [(5, k) for k in range(1, 4)] + [(7, 1), (7, 2), (11, 1), (11, 2)],
+)
+def test_irreducible_count_is_gauss_formula(p, k):
+    # monic irreducibles of degree k over GF(p): (1/k) sum_{d | k} mu(d) p^(k/d)
+    want = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    got = sum(
+        gf.is_irreducible([m // p**i % p for i in range(k)] + [1], p) for m in range(p**k)
+    )
+    assert got == want
+
+
+def test_zero_leading_coefficient_raises():
+    with pytest.raises(ValueError, match="leading coefficient"):
+        gf.is_irreducible([1, 1, 0], 7)
+    with pytest.raises(ValueError, match="leading coefficient"):
+        gf.is_irreducible([1, 0, 7], 7)
+    # int64 matrix products would overflow: refused rather than wrong
+    with pytest.raises(ValueError, match="overflow"):
+        gf.is_irreducible([1, 0, 1], 2**32 + 15)
+
+
+@pytest.mark.parametrize("coeffs,monic,irreducible", [
+    ([3, 0, 2], [5, 0, 1], False),  # 2 (z^2 - 2), and 3^2 = 2 mod 7
+    ([2, 0, 2], [1, 0, 1], True),  # 2 (z^2 + 1)
+    ([3, 6, 0, 3], [1, 2, 0, 1], True),  # 3 (z^3 + 2z + 1), no root mod 7
+])
+def test_non_monic_modulus_gets_its_monic_verdict(coeffs, monic, irreducible):
+    assert gf.is_irreducible(coeffs, 7) == gf.is_irreducible(monic, 7) == irreducible
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_degree_one_modulus_is_irreducible(p):
-    # z is reduced mod a degree-1 modulus before the Rabin test compares with it
+    # the matrix of multiplication by z modulo z + c is the 1 x 1 matrix [-c]
     assert gf.find_irreducible(p, 1) == (0, 1)
     assert all(gf.is_irreducible([c, 1], p) for c in range(p))
 
@@ -122,14 +162,29 @@ def test_add_matches_digit_sum_on_random_pairs(p, k):
     assert np.array_equal(F.add(rows, col), _digit_sum(F, rows, col))
 
 
+def _mul_mod(a, b, mod, p):
+    """Oracle: schoolbook product of two k-digit lists (ascending) with long
+    division by the monic ``mod`` of degree k, written apart from the field
+    build."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    k = len(mod) - 1
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for j, mj in enumerate(mod):
+            prod[top - k + j] -= c * mj
+    return [c % p for c in prod[:k]]
+
+
 def test_exp_table_is_the_generator_cycle():
     F = gf.ExtField(7, 4)
     mod = list(F.irreducible)
     g = [int(d) for d in F.to_digits(F.generator)]
     exp = F._exp
     for i in range(F.Q - 1):
-        want = gf._poly_mul_mod([int(d) for d in F.to_digits(exp[i])], g, mod, F.p)
-        want += [0] * (F.k - len(want))
+        want = _mul_mod([int(d) for d in F.to_digits(exp[i])], g, mod, F.p)
         assert exp[i + 1] == F.from_digits(np.array(want)), i
     assert exp[0] == 1 and sorted(exp[: F.Q - 1]) == list(range(1, F.Q))
     assert np.array_equal(exp[F.Q - 1 :], exp[: F.Q - 1])
@@ -139,13 +194,13 @@ def test_exp_table_is_the_generator_cycle():
 
 def _stepped_tables(F):
     """Oracle: exp, log and Zech tables with g^(i+1) = g^i * g, one power at a
-    time by polynomial products mod the irreducible."""
-    p, mod, q = F.p, list(F.irreducible), F.Q
+    time by schoolbook products mod the irreducible."""
+    p, k, mod, q = F.p, F.k, list(F.irreducible), F.Q
     g = [int(d) for d in F.to_digits(F.generator)]
-    exp, acc = [], [1]
+    exp, acc = [], [1] + [0] * (k - 1)
     for _ in range(q - 1):
         exp.append(sum(c * p**i for i, c in enumerate(acc)))
-        acc = gf._poly_mul_mod(acc, g, mod, p)
+        acc = _mul_mod(acc, g, mod, p)
     log = [-1] * q
     for i, v in enumerate(exp):
         log[v] = i
@@ -239,3 +294,17 @@ def test_rs_degenerate_cases():
         gf.RSCode(F, 26, 2)
     with pytest.raises(ValueError):
         gf.RSCode(F, 4, 5)
+
+
+def test_rs_encode_rejects_symbols_outside_the_field():
+    F = gf.ExtField(7, 2)
+    rs = gf.RSCode(F, 5, 2)
+    for bad in ([[-1, 3]], [[49, 3]], [[0, 3], [3, 49]]):
+        with pytest.raises(ValueError, match=r"\[0, 49\)"):
+            rs.encode(bad)
+    # in-range output is unchanged (pinned from the build before the check),
+    # both ends of the range included
+    got = rs.encode([[0, 3], [48, 3], [48, 48], [0, 0]])
+    assert got.tolist() == [[0, 3, 6, 2, 5], [48, 44, 47, 43, 46],
+                            [48, 40, 32, 24, 16], [0, 0, 0, 0, 0]]
+    assert rs.encode(np.zeros((0, 2), dtype=np.int64)).shape == (0, 5)
