@@ -22,14 +22,16 @@ from .gf import ExtField, RSCode, is_probable_prime
 GREEDY_GUARD = 10**7
 #: codebook size above which distance verification is sampled
 EXHAUSTIVE_GUARD = 10**5
-#: sweep work (kernels.sweep_work: half codewords swept plus every class pair
-#: the pairing could read) above which LeeBCH.min_weights refuses to sweep.
-#: The pairing reads only the pairs that can still beat the best weight, so
-#: this bounds the work from above: (13, 4) (4.1e8, nearly all class pairs)
-#: reads 61k pairs and takes about 0.01-0.02 s on 2 cores.  The slowest code
-#: below the guard, (17, 3) (2.5e8, mostly half codewords), takes 1.1-3 s, at
-#: 8e7 to 2.3e8 half codewords per second, so a sweep below the guard ends
-#: within about 6 s; (17, 2) is above
+#: sweep work (kernels.sweep_work: the entries the two min-plus passes touch
+#: plus every class pair the pairing could read) above which
+#: LeeBCH.min_weights refuses to sweep.  The pairing reads only the pairs that
+#: can still beat the best weight, so this bounds the work from above: (13, 4)
+#: (4.1e8, nearly all class pairs) reads 61k pairs and takes about 0.02 s on
+#: 2 cores.  Of the codes with p <= 200, (113, 2) (3.2e8, half of it the
+#: passes) does the most work below the guard and takes about 0.7-0.8 s;
+#: (109, 2) and (107, 2) take 0.5-0.8 s, (17, 9) 0.05 s and (23, 3)
+#: 0.025-0.04 s.  The slowest code below the guard is (787, 1) (4.9e8,
+#: nearly all passes), at about 1.8-2.1 s; (17, 4) and (29, 3) are above it
 SWEEP_GUARD = 5 * 10**8
 
 
@@ -95,17 +97,19 @@ class LeeBCH:
     def min_weights(self) -> tuple[int, int]:
         """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords.
 
-        Raises ValueError, before sweeping, when the sweep's work (the half
-        codewords it sweeps plus the overlap-class pairs it could read, see
-        :func:`kernels.sweep_work`) exceeds SWEEP_GUARD.  The work grows with
-        p^(k/2) and, once the halves' overlap classes stop colliding, with
-        p^k, so (13, 3) and (13, 2) are swept and (17, 2) is refused.
+        Raises ValueError, before sweeping, when the sweep's work (the
+        entries its min-plus passes over the two message halves touch plus
+        the overlap-class pairs it could read, see
+        :func:`kernels.sweep_work`) exceeds SWEEP_GUARD.  The passes grow
+        with k p^(t+1) and the class pairs, once the halves' overlap classes
+        stop colliding, with p^(2t), so (113, 2), (23, 3) and (13, 4) are
+        swept and (127, 2), (29, 3) and (17, 4) are refused.
         """
         work = kernels.sweep_work(self.p, self.k, self.t)
         if work > SWEEP_GUARD:
             raise ValueError(
                 f"sweeping the {self.p}^{self.k} = {self.size} codewords takes "
-                f"{work} half codewords and class pairs, above the sweep guard "
+                f"{work} pass entries and class pairs, above the sweep guard "
                 f"{SWEEP_GUARD}; reduce p"
             )
         c = constellation(self.p)

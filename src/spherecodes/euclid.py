@@ -17,6 +17,7 @@ the ball by its squared radius alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,19 +49,28 @@ class Constellation:
     def points(self) -> tuple[float, ...]:
         return tuple(sorted(self.reps))
 
-    @property
+    @functools.cached_property
     def euclid_table(self) -> np.ndarray:
+        """min(r^2, (q-r)^2) per residue r, built once and read-only."""
         r = np.arange(self.q, dtype=np.int64)
-        return np.minimum(r * r, (self.q - r) * (self.q - r))
+        return _read_only(np.minimum(r * r, (self.q - r) * (self.q - r)))
 
-    @property
+    @functools.cached_property
     def lee_table(self) -> np.ndarray:
+        """min(r, q-r) per residue r, built once and read-only."""
         r = np.arange(self.q, dtype=np.int64)
-        return np.minimum(r, self.q - r)
+        return _read_only(np.minimum(r, self.q - r))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
 def constellation(q: int) -> Constellation:
-    """Build the centered constellation for Z_q (q >= 2)."""
+    """The centered constellation for Z_q (q >= 2), built once per q: its
+    weight tables are shared by every caller and read-only."""
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     if q % 2:

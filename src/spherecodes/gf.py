@@ -136,7 +136,10 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     multiplication by z: degree k is irreducible iff Z^(p^k) = Z and, for
     each prime l dividing k, Z^(p^(k/l)) - Z is invertible (z^(p^(k/l)) - z
     is a unit, i.e. prime to the modulus).  A non-monic modulus gets the
-    verdict of its monic multiple; a leading coefficient 0 mod p raises."""
+    verdict of its monic multiple; a leading coefficient 0 mod p raises, and
+    so does a p that is not prime, for which Z/p is no field."""
+    if not is_probable_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     k = len(coeffs) - 1
     if k < 1:
         return False

@@ -15,9 +15,11 @@ BLAS Gram product and re-measures by the direct formula every pair that
 could be the minimum; and a meet-in-the-middle codeword weight sweep that
 pairs the overlap classes of the two message halves instead of their
 codewords, and only the pairs whose own-column weights leave room below
-the best weight found.  All but the greedy masks are numpy.  Both pair
-scans walk the same tiles.  The translate check shares no code with the
-greedy selection it checks, and the Gram scan is its cross-check.
+the best weight found, with each class's lightest own columns found by one
+min-plus pass over its half's message digits, without encoding them.  All
+but the greedy masks are numpy.  Both pair scans walk the same tiles.  The
+translate check shares no code with the greedy selection it checks, and the
+Gram scan is its cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
 a cyclic generator from its polynomial only through :func:`shifted_generator`.
@@ -490,18 +492,13 @@ def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
         raise ValueError("n * max|table| must stay below 2^53 for an exact float64 scan")
     residues = np.arange(q)
     cost = tab[(residues[:, None] - residues[None, :]) % q].astype(np.float64)
-    columns = q * np.arange(n)
-
-    @functools.lru_cache(maxsize=1)  # one row block serves a row of tiles
-    def left(start: int, stop: int) -> np.ndarray:
-        # row i of U @ blockdiag(C) holds C[u_ij, b] at column j*q + b
-        return cost[w[start:stop]].reshape(-1, n * q)
+    block = [None, None]  # the first row of the current row of tiles, and its rows
 
     def dist(rows: slice, cols: slice) -> np.ndarray:
-        tail = w[cols]
-        onehot = np.zeros((tail.shape[0], n * q))
-        onehot[np.arange(tail.shape[0])[:, None], tail + columns] = 1.0
-        return left(rows.start, rows.stop) @ onehot.T
+        if block[0] != rows.start:
+            # row i of U @ blockdiag(C) holds C[u_ij, b] at column j*q + b
+            block[:] = rows.start, cost[w[rows]].reshape(-1, n * q)
+        return block[1] @ np.take(np.eye(q), w[cols], axis=0).reshape(-1, n * q).T
 
     best = min((vals.min() for _, _, vals in _tiles(m, n, dist)), default=np.inf)
     return int(best) if m >= 2 else int(np.iinfo(np.int64).max)
@@ -519,45 +516,73 @@ def _class_minima(gen, m, halve, own, p, tables, acc):
     without a swept message, and the codewords of messages 0 .. p^m - 1 (one
     per class), shape (columns, p^m).
 
-    The messages are swept in blocks: one per value of the first k - j digits
-    (the head), each over all p^j values of the last j >= m digits (the
-    tail), with p^j as large as SWEEP_BUDGET allows.  The p^j tail codewords
-    are encoded once.  A column that no head row reaches weighs the same in
-    every block, and one that only head rows reach is constant within a
-    block, so a block costs one read per column that both reach, from a table
-    of length 2p - 1 that folds the reduction mod p into the unreduced sum of
-    a head and a tail residue, and one minimum over its rows taken p^m at a
-    time.  Memory: the p^m classes, one block and the codewords of the heads,
-    never an array over all p^deg overlap values unless the classes fill it.
+    One min-plus pass over the message digits, most significant first (a
+    Wolf trellis, IEEE Trans. IT 24(1), 1978, run on the generator side).
+    After digit r it holds, per table and per value of the live digits, the
+    least weight of the own columns weighed so far over the swept messages
+    whose digits up to r take that value.  The live digits are those that an
+    own column weighed later still reads, and the class digits.  Appending
+    digit r multiplies the values by p; each own column whose last nonzero
+    row is r is weighed there, once, from the live digits, through a table
+    that folds the reduction mod p into the unreduced sum of its terms; and
+    a digit that no later own column reads, bar a class digit, is dropped by
+    a minimum over its axis.  The messages whose digits so far are all zero
+    are carried apart, as table[0] per own column weighed, and enter at
+    their first nonzero digit, with ``halve`` only at 1 .. (p-1)/2, so the
+    zero message never enters.  A value above the largest own weight marks
+    one that no swept message takes.
+
+    Memory: digit r is appended in slices of its values, so that each
+    working array holds at most SWEEP_BUDGET / 4 elements while the values
+    held before it (2 p^live) do.  They do for every code below
+    ``codes.SWEEP_GUARD``, as do the p x p products mod p and the fold table
+    (2 k p).  Other digits are dropped within a slice; digit r itself, when
+    no later own column reads it (never in a shifted generator), once its
+    slices are joined.  Plus the codewords returned.  A slice that small
+    stays in cache: slices of SWEEP_BUDGET elements took (787, 1) from 2.1
+    to 7.2 s on 2 cores.
     """
-    k, n = gen.shape
-    big = np.iinfo(acc).max
-    j = m
-    while j < k and p ** (j + 1) * n <= SWEEP_BUDGET:
-        j += 1
-    head, tail_rows = gen[: k - j], gen[k - j :]
-    tail = tail_rows.T @ digits(np.arange(p**j), p, j).T
-    tail %= p
-    by_head, by_tail = head.any(axis=0), tail_rows.any(axis=0)
-    base = np.take(tables, tail[own & ~by_head], axis=1).sum(axis=1, dtype=acc)
+    k = gen.shape[0]
+    mul = np.arange(p) * np.arange(p)[:, None] % p  # mul[g, a] = g a mod p
+    # per row, the own columns whose last read row it is: a column reads its
+    # nonzero rows (row 0 if none, as table[0]), each by its terms g a mod p
+    # over the digits a; a digit is dropped after the last row that weighs a
+    # column reading it, and a class digit never.  Both lists keep a spare
+    # entry for the zero columns of a half without rows
+    weighed = [[] for _ in range(k + 1)]
+    drop = [i if i < k - m else k for i in range(k + 1)]
+    for col in gen.T[own].tolist():
+        terms = {i: mul[g] for i, g in enumerate(col) if g} or {0: mul[0]}
+        weighed[max(terms)].append(terms)
+        for i in terms:
+            drop[i] = max(drop[i], max(terms))
+    lim = int(own.sum()) * int(tables.max())  # above lim: no message swept
+    # folded[s] weighs the residue s mod p, for every sum s of at most k terms
+    folded = tables.T[np.arange(k * p) % p].astype(np.min_scalar_type(2 * lim + 1))
     top = (p + 1) // 2 if halve else p  # first nonzero digits swept are 1 .. top-1
-    head_msgs = np.concatenate([[0], *(np.arange(p**e, top * p**e) for e in range(k - j))])
-    heads = digits(head_msgs, p, k - j) @ head % p  # zero head first
-    fixed = np.take(tables, heads[:, own & by_head & ~by_tail], axis=1).sum(axis=2, dtype=acc)
-    mixed = np.flatnonzero(own & by_head & by_tail)
-    folded = np.take(tables, np.arange(2 * p - 1) % p, axis=1)
-    swept = np.zeros(p**j, dtype=bool)  # the tails swept behind the zero head
-    for e in range(j):
-        swept[p**e : top * p**e] = True
-    least = np.full((2, p**m), big, dtype=acc)
-    for i, c0 in enumerate(heads):
-        w = base + fixed[:, i, None]
-        for c in mixed:
-            w += np.take(folded, c0[c] + tail[c], axis=1)
-        if i == 0:
-            w[:, ~swept] = big
-        np.minimum(least, w.reshape(2, -1, p**m).min(axis=1), out=least)
-    return least, tail[:, : p**m]
+    least = np.full(2, lim + 1, dtype=folded.dtype)  # per live digit value, then table
+    for r in range(k):
+        live = [i for i in range(r + 1) if drop[i] >= r]
+        step = max(1, SWEEP_BUDGET // 4 // least.size)  # values of digit r per slice
+        parts = []
+        for a0 in range(0, p, step):
+            x = np.repeat(least[..., None, :], min(step, p - a0), axis=-2)
+            # the messages whose first nonzero digit is r, each own column
+            # weighed so far at table[0]
+            at = (0,) * (len(live) - 1) + (slice(max(1 - a0, 0), max(top - a0, 0)),)
+            x[at] = np.minimum(x[at], folded[:1] * sum(map(len, weighed[:r])))
+            for terms in weighed[r]:
+                # each read digit's terms along its axis, with an axis of
+                # length 1 per later live digit, summed by broadcasting
+                cut = {**terms, r: terms[r][a0 : a0 + step]}
+                v = sum(t.reshape((-1,) + (1,) * live[::-1].index(i)) for i, t in cut.items())
+                x += np.take(folded, v, axis=0, mode="clip")
+            parts.append(x.min(axis=tuple(a for a, i in enumerate(live[:-1]) if drop[i] == r)))
+        least = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+        least = least.min(axis=-2) if drop[r] == r else least
+    words = gen[k - m :].T @ digits(np.arange(p**m), p, m).T
+    words %= p
+    return np.where(least > lim, np.iinfo(acc).max, least).reshape(-1, 2).T.astype(acc), words
 
 
 def _band_min_weights(gen, k_hi, deg, p, tables, acc):
@@ -631,12 +656,17 @@ def _band_min_weights(gen, k_hi, deg, p, tables, acc):
 
 def sweep_work(p: int, k: int, deg: int) -> int:
     """The work of :func:`cyclic_min_weights` on k message digits over GF(p)
-    and a generator of degree deg: the half codewords it sweeps plus every
-    class pair it could read, so at least the work it does; the pruned
-    pairing reads only the pairs that can still beat the best weight."""
+    and a generator of degree deg: the entries the passes of its two halves
+    touch plus every class pair it could read, so at least the work it does;
+    the pruned pairing reads only the pairs that can still beat the best
+    weight.  Before its digit r, the pass over a half of h digits holds
+    min(r, deg) <= min(h - 1, deg) live digits, fewer where g has zero
+    coefficients, and appending the digit touches p^(live + 1) entries, so
+    the pass touches at most h p^min(h, deg + 1)."""
     k_hi = k - k // 2
     n_hi, n_lo = (p**k_hi - 1) // 2, p ** (k - k_hi) - 1
-    return n_hi + n_lo + min(n_hi, p**deg) * min(n_lo, p**deg)
+    passes = sum(h * p ** min(h, deg + 1) for h in (k_hi, k // 2))
+    return passes + min(n_hi, p**deg) * min(n_lo, p**deg)
 
 
 def cyclic_min_weights(
@@ -665,11 +695,13 @@ def cyclic_min_weights(
     min(k//2, deg) digits.  The sweep groups each half by those digits (a
     class; when g[0] and g[deg] are nonzero the map to u or v is
     triangular with an invertible diagonal, so the classes are the occupied
-    overlap values), keeps per class and table the least weight of the own
-    columns (:func:`_class_minima`), and pairs classes instead of codewords.
-    When k_hi <= deg and k//2 <= deg every class holds one codeword;
-    otherwise the classes collide and there are at most p^deg of them.
-    :func:`sweep_work` counts the half codewords and bounds the class pairs.
+    overlap values), finds per class and table the least weight of the own
+    columns by one min-plus pass over the half's message digits, which
+    encodes no codeword (:func:`_class_minima`), and pairs classes instead
+    of codewords.  When k_hi <= deg and k//2 <= deg every class holds one
+    codeword; otherwise the classes collide and there are at most p^deg of
+    them.  :func:`sweep_work` counts the entries the passes touch and bounds
+    the class pairs.
 
     Pairing, pruned by a lower bound: the tables are non-negative, so a pair
     of classes weighs at least the sum of their two own-column minima, and a

@@ -223,9 +223,20 @@ def test_build_sweeps_bch_past_the_codeword_count(capsys):
     assert "guaranteed floor 6; measured min distance 6 (exhaustive (min lee weight 6))" in out
 
 
-def test_build_refuses_oversized_bch_sweep(capsys):
-    # 17^14 codewords: refused before any sweep starts
+def test_build_sweeps_bch_17_2(capsys):
+    # 17^14 codewords, once refused: the min-plus passes over the message
+    # digits hold 17^3 weights per digit and the halves pair 289 x 289 classes
     code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "2")
+    assert code == 0
+    assert err == ""
+    assert "BCH[16,14] over GF(17): n=16 |C|=17^14" in out
+    assert "measured min distance 4 (exhaustive (min lee weight 4))" in out
+
+
+def test_build_refuses_oversized_bch_sweep(capsys):
+    # 17^12 codewords whose halves could pair 17^4 x 17^4 overlap classes:
+    # refused before any sweep starts
+    code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "4")
     assert code == 2
     assert out == ""
     assert "codewords" in err

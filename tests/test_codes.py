@@ -355,9 +355,11 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
 # meet-in-the-middle sweeps replaced; (13, 2) and (13, 3), past the guard of
 # the ungrouped sweep, from the overlap-class sweep; (13, 4) and (13, 5) from
 # the overlap-class sweep both with all class pairs read and with the pairs
-# pruned by their bound.  (13, 2) to (13, 4) equal the 2t Lee floor of the
-# family, and test_pinned_floor_minima_have_witnesses finds a codeword of 2t
-# entries +-1 that attains both weights
+# pruned by their bound; (17, 2), (31, 2), (19, 3) and (23, 3), past the
+# guard of the overlap-class sweep, from the min-plus pass over the message
+# digits.  (13, 2) to (13, 4) and the codes past p = 13 equal the 2t Lee
+# floor of the family, and test_pinned_floor_minima_have_witnesses finds a
+# codeword of 2t entries +-1 that attains both weights
 _PINNED_MIN_WEIGHTS = {
     (11, 2): (4, 4),
     (11, 3): (6, 6),
@@ -367,6 +369,10 @@ _PINNED_MIN_WEIGHTS = {
     (13, 4): (8, 8),
     (13, 5): (10, 12),
     (13, 6): (12, 12),
+    (17, 2): (4, 4),
+    (19, 3): (6, 6),
+    (23, 3): (6, 6),
+    (31, 2): (4, 4),
 }
 
 
@@ -375,7 +381,7 @@ def test_lee_bch_min_weights_pinned(p, t):
     assert codes.lee_bch(p, t).min_weights() == _PINNED_MIN_WEIGHTS[(p, t)]
 
 
-@pytest.mark.parametrize("p,t", [(13, 2), (13, 3), (13, 4)])
+@pytest.mark.parametrize("p,t", [(13, 2), (13, 3), (13, 4), (17, 2), (19, 3), (23, 3), (31, 2)])
 def test_pinned_floor_minima_have_witnesses(p, t):
     # Lee weight >= 2t and Euclid >= Lee bound both minima from below, so a
     # codeword with 2t entries +-1 proves them; search the supports and signs
@@ -397,7 +403,7 @@ def test_sweep_guard_counts_work_not_codewords():
     # reachable before, and its classes do not collide
     assert kernels.sweep_work(13, 8, 4) <= codes.SWEEP_GUARD
     with pytest.raises(ValueError, match="codewords"):
-        codes.lee_bch(17, 2).min_weights()
+        codes.lee_bch(17, 4).min_weights()
 
 
 def _encode_int16(start, count, p, rows):
@@ -555,6 +561,62 @@ def test_band_sweep_finds_a_lone_half(light):
     acc = np.min_scalar_type(6 * 4 + 1)
     got = kernels._band_min_weights(gen, 2, 2, 5, tables.astype(acc), acc)
     assert got == _brute_min_weights(gen, 5, tables)
+
+
+def _brute_class_minima(gen, m, halve, own, p, tables):
+    # every swept message encoded: the nonzero ones, with halve only those
+    # whose first nonzero digit is at most (p-1)/2, grouped by their last m
+    # digits
+    k = gen.shape[0]
+    big = np.iinfo(tables.dtype).max
+    least = np.full((2, p**m), big, dtype=tables.dtype)
+    msgs = kernels.digits(np.arange(1, p**k), p, k)
+    if halve and k:
+        msgs = msgs[msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)] <= (p - 1) // 2]
+    weights = tables[:, msgs @ gen[:, own] % p].sum(axis=2)
+    classes = msgs[:, k - m :] @ p ** np.arange(m - 1, -1, -1)
+    for w in range(2):
+        np.minimum.at(least[w], classes, weights[w])
+    words = (kernels.digits(np.arange(p**m), p, m) @ gen[k - m :] % p).T
+    return least, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_class_minima_match_brute_force_property(p, data):
+    # any generator, zero rows and columns included, any class length, own
+    # columns and halving: each class's least own weight over the swept
+    # messages, and the codewords of messages 0 .. p^m - 1
+    k = data.draw(st.integers(0, int(math.log(3000, p))), label="k")
+    n = data.draw(st.integers(1, 6), label="n")
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    gen = np.reshape(np.array(entries, dtype=np.int64), (k, n))
+    m = data.draw(st.integers(0, k), label="m")
+    halve = data.draw(st.booleans(), label="halve")
+    own = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    tables = np.stack([_symmetric_table(data, p), _symmetric_table(data, p)])
+    acc = np.min_scalar_type(n * int(tables.max()) + 1)
+    tables = tables.astype(acc)
+    least, words = kernels._class_minima(gen, m, halve, own, p, tables, acc)
+    want_least, want_words = _brute_class_minima(gen, m, halve, own, p, tables)
+    assert least.dtype == acc and np.array_equal(least, want_least)
+    assert np.array_equal(words, want_words)
+
+
+def test_sweep_memory_stays_within_the_budget():
+    # (113, 2) holds the largest stage of the codes below the guard: 113^3
+    # weights per table, in slices of SWEEP_BUDGET / 4 elements.  Each
+    # working array holds at most SWEEP_BUDGET elements of at most 8 bytes,
+    # and at most three are held at once (the high half's codewords among
+    # them while the low half is swept); unsliced, the passes peak at 39 MiB
+    code = codes.lee_bch(113, 2)
+    tracemalloc.start()
+    try:
+        assert code.min_weights() == (4, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * kernels.SWEEP_BUDGET
 
 
 def test_lee_bch_rejects_bad_params():

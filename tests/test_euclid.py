@@ -36,6 +36,17 @@ def test_constellation_invariants(q):
     assert max(p * p for p in pts) == c.a
 
 
+@pytest.mark.parametrize("q", [2, 5, 8])
+def test_constellation_built_once_with_read_only_tables(q):
+    c = euclid.constellation(q)
+    assert euclid.constellation(q) is c
+    for table in (c.euclid_table, c.lee_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert c.euclid_table is c.euclid_table and c.lee_table is c.lee_table
+
+
 def test_constellation_rejects_small_q():
     with pytest.raises(ValueError):
         euclid.constellation(1)

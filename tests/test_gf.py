@@ -80,6 +80,15 @@ def test_zero_leading_coefficient_raises():
         gf.is_irreducible([1, 0, 1], 2**32 + 15)
 
 
+@pytest.mark.parametrize("p", [4, 6, 9])
+def test_irreducible_needs_a_prime_p(p):
+    # Z/p is no field: over Z/4, [1, 0, 2] once hit a non-invertible leading
+    # coefficient inside the test and [1, 0, 1] got the verdict False
+    for coeffs in ([1, 0, 2], [1, 0, 1], [1, 1]):
+        with pytest.raises(ValueError, match=f"prime, got {p}"):
+            gf.is_irreducible(coeffs, p)
+
+
 @pytest.mark.parametrize("coeffs,monic,irreducible", [
     ([3, 0, 2], [5, 0, 1], False),  # 2 (z^2 - 2), and 3^2 = 2 mod 7
     ([2, 0, 2], [1, 0, 1], True),  # 2 (z^2 + 1)
