@@ -109,7 +109,8 @@ def gilbert_yaglom_rate(q: int, x: float) -> float:
     for x = ln rho <= 0.
 
     Valid while lambda stays below the mean coordinate weight (above it the
-    rate floor is 0 and the saddle solution is clamped).
+    rate floor is 0 and the saddle solution is clamped).  At lambda >= w_max,
+    which odd q reach at x = 0, the ball is all of Z_q^n and the rate is 0.
 
     For small rho the rate is log2(q) by a proven bound, in log form, so no
     x is too small.  Every nonzero residue weighs at least 1, so
@@ -136,7 +137,10 @@ def gilbert_yaglom_rate(q: int, x: float) -> float:
         ln_bound = ln_lam + math.log(1.0 + math.log(q - 1) - ln_lam) - math.log(LN2)
         if ln_bound < math.log((top - math.nextafter(top, 0.0)) / 4.0):
             return top
-    sol = counting.saddle_solve(counting.enumerator(q), c.a * math.exp(x))
+    lam, f = c.a * math.exp(x), counting.enumerator(q)
+    if lam >= f.w_max:  # the ball is all of Z_q^n (odd q at x = 0)
+        return 0.0
+    sol = counting.saddle_solve(f, lam)
     return top - sol.exponent
 
 

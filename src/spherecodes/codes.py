@@ -22,17 +22,6 @@ from .gf import ExtField, RSCode, is_probable_prime
 GREEDY_GUARD = 10**7
 #: codebook size above which distance verification is sampled
 EXHAUSTIVE_GUARD = 10**5
-#: sweep work (kernels.sweep_work: the entries the two min-plus passes touch
-#: plus every class pair the pairing could read) above which
-#: LeeBCH.min_weights refuses to sweep.  The pairing reads only the pairs that
-#: can still beat the best weight, so this bounds the work from above: (13, 4)
-#: (4.1e8, nearly all class pairs) reads 61k pairs and takes about 0.02 s on
-#: 2 cores.  Of the codes with p <= 200, (113, 2) (3.2e8, half of it the
-#: passes) does the most work below the guard and takes about 0.7-0.8 s;
-#: (109, 2) and (107, 2) take 0.5-0.8 s, (17, 9) 0.05 s and (23, 3)
-#: 0.025-0.04 s.  The slowest code below the guard is (787, 1) (4.9e8,
-#: nearly all passes), at about 1.8-2.1 s; (17, 4) and (29, 3) are above it
-SWEEP_GUARD = 5 * 10**8
 
 
 def primality_check(n: int, rounds: int = 64, seed: int = 0) -> bool:
@@ -95,23 +84,15 @@ class LeeBCH:
         return (msgs @ self.generator_matrix) % self.p
 
     def min_weights(self) -> tuple[int, int]:
-        """Exhaustive (min Lee, min Euclid) weight over all nonzero codewords.
+        """Exact (min Lee, min Euclid) weight over all nonzero codewords, by
+        the cyclic information-set search of :func:`kernels.cyclic_min_weights`.
 
-        Raises ValueError, before sweeping, when the sweep's work (the
-        entries its min-plus passes over the two message halves touch plus
-        the overlap-class pairs it could read, see
-        :func:`kernels.sweep_work`) exceeds SWEEP_GUARD.  The passes grow
-        with k p^(t+1) and the class pairs, once the halves' overlap classes
-        stop colliding, with p^(2t), so (113, 2), (23, 3) and (13, 4) are
-        swept and (127, 2), (29, 3) and (17, 4) are refused.
+        Raises ValueError, naming the count, when a round of the search would
+        weigh more than ``kernels.SEARCH_GUARD`` messages, before the round
+        starts.  The rounds grow with the message weight the minimum needs,
+        about k (2t - 1) / n: (127, 2), (61, 3), (29, 3) and (17, 4) are
+        searched in under a second, and (23, 6) is refused.
         """
-        work = kernels.sweep_work(self.p, self.k, self.t)
-        if work > SWEEP_GUARD:
-            raise ValueError(
-                f"sweeping the {self.p}^{self.k} = {self.size} codewords takes "
-                f"{work} pass entries and class pairs, above the sweep guard "
-                f"{SWEEP_GUARD}; reduce p"
-            )
         c = constellation(self.p)
         return kernels.cyclic_min_weights(
             np.asarray(self.g),

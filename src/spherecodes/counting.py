@@ -25,6 +25,7 @@ defect against the continuum value (1/2) log2(2*pi*e*lambda).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,22 +121,23 @@ def theta_enumerator(truncation: int) -> WeightEnumerator:
     return WeightEnumerator(weights=weights, counts=counts, q=0)
 
 
-def ball_size(q: int, n: int, r: int) -> int:
-    """Exact number of words of Z_q^n with difference weight <= r.
+def ball_sizes(q: int, n: int, r: int) -> list[int]:
+    """Exact numbers of words of Z_q^n with difference weight <= s, for
+    s = 0 .. r (empty for r < 0).
 
     The coefficients g_k of g = f^n obey f g' = n f' g (J.C.P. Miller's
     power recurrence, Knuth TAOCP vol. 2, 4.7); with f_0 = 1 this reads
 
         k g_k = sum_{0 < w <= k} ((n+1) w - k) c_w g_{k-w},
 
-    an exact integer division, so the count costs O(r |W|) big-integer
+    an exact integer division, so the counts cost O(r |W|) big-integer
     operations instead of O(n r |W|) for a coordinate-by-coordinate
-    convolution.
+    convolution, and one pass gives every radius.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
-        return 0
+        return []
     f = enumerator(q)
     cap = min(r, n * f.w_max)
     # (w, (n+1) w c_w, c_w) for the nonzero weights, in increasing w
@@ -149,7 +151,15 @@ def ball_size(q: int, n: int, r: int) -> int:
                 break
             acc += (a - k * c) * g[k - w]
         g[k] = acc // k
-    return sum(g)
+    sizes = list(itertools.accumulate(g))
+    return sizes + sizes[-1:] * (r - cap)
+
+
+def ball_size(q: int, n: int, r: int) -> int:
+    """Exact number of words of Z_q^n with difference weight <= r: the last
+    of :func:`ball_sizes`."""
+    sizes = ball_sizes(q, n, r)
+    return sizes[-1] if sizes else 0
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hot inner loops: pairwise distance scans, greedy selection, codeword sweeps.
+"""Hot inner loops: pairwise distance scans, greedy selection, codeword searches.
 
 Each kernel has one implementation: greedy selection by ball marking on a
 mask of Python-int bit rows, one row per high half of a word index (the next
@@ -12,29 +12,41 @@ each word's translates by the offsets of weight below the distance in a
 mask of the set, computing them digit by digit; an exact integer Gram scan
 for word sets; a float pair scan that estimates square tiles of pairs by a
 BLAS Gram product and re-measures by the direct formula every pair that
-could be the minimum; and a meet-in-the-middle codeword weight sweep that
-pairs the overlap classes of the two message halves instead of their
-codewords, and only the pairs whose own-column weights leave room below
-the best weight found, with each class's lightest own columns found by one
-min-plus pass over its half's message digits, without encoding them.  All
-but the greedy masks are numpy.  Both pair scans walk the same tiles.  The
-translate check shares no code with the greedy selection it checks, and the
-Gram scan is its cross-check.
+could be the minimum; and an information-set search for the least weights
+of a cyclic code, which weighs the messages of a systematic encoder in
+rounds of rising message weight and stops on a bound that cyclic shifts
+give.  All but the greedy masks and the search's walk over value tuples
+are numpy.  Both pair scans walk the same tiles.  The translate check
+shares no code with the greedy selection it checks, and the Gram scan is
+its cross-check.
 
 The package enumerates words by index only through :func:`digits`, and builds
-a cyclic generator from its polynomial only through :func:`shifted_generator`.
+a cyclic generator matrix from its polynomial only through
+:func:`shifted_generator`; the search builds its parity rows from the
+polynomial by remainders.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
+import itertools
 import math
 
 import numpy as np
 
-#: elements per working array of the codeword sweep
+#: elements per working array of the codeword search
 SWEEP_BUDGET = 1 << 20
+#: messages one round of :func:`cyclic_min_weights` may weigh.  A message
+#: costs about 10 ns per parity digit (2 shared cores, numpy 2.4.6), so the
+#: codes of largest degree set it.  Of the 2,110 Lee-BCH codes with p <= 200,
+#: 128 are admitted; the slowest are (23, 12) at 1.4 s, (23, 5) 0.4 s,
+#: (61, 3) 0.3 s (6.9e6 messages, the largest round admitted), (19, 8) and
+#: (59, 3) 0.3 s.  A refused code pays for its admitted rounds first: up to
+#: about 5 s at p = 103-127, t = 40-64, whose third round holds up to 1e7
+#: messages of 40-64 parity digits.  (23, 6) is refused in a few ms.
+SEARCH_GUARD = 10**7
 #: mask bits a greedy mask table may hold to be kept (:func:`_mask_table`)
 MASK_BUDGET = 1 << 18
 
@@ -504,235 +516,146 @@ def min_dist_words(words: np.ndarray, table: np.ndarray, q: int) -> int:
     return int(best) if m >= 2 else int(np.iinfo(np.int64).max)
 
 
-def _class_minima(gen, m, halve, own, p, tables, acc):
-    """Per class of one half's codewords and per table, the least weight of
-    the columns ``own``.
+def _value_tuples(k: int, lo: list, hi: list, tables: list, block: int):
+    """The messages of k digits whose first nonzero digit is at most (p-1)/2
+    and whose weight under ``tables[w]`` (a list) lies in (lo[w], hi[w]], for
+    w = 0, 1, as the values of their nonzero digits: lists of at most
+    ``block + 1`` entries ``(values, message weight, w)`` of one support size.
 
-    ``gen`` holds the half's generator rows, one per message digit, most
-    significant digit first, and a codeword's class is the value of its
-    message's last m digits.  The messages swept are the nonzero ones, with
-    ``halve`` only those whose first nonzero digit is at most (p-1)/2.
-    Returns the minima, shape (2, p^m), holding ``iinfo(acc).max`` for a class
-    without a swept message, and the codewords of messages 0 .. p^m - 1 (one
-    per class), shape (columns, p^m).
-
-    One min-plus pass over the message digits, most significant first (a
-    Wolf trellis, IEEE Trans. IT 24(1), 1978, run on the generator side).
-    After digit r it holds, per table and per value of the live digits, the
-    least weight of the own columns weighed so far over the swept messages
-    whose digits up to r take that value.  The live digits are those that an
-    own column weighed later still reads, and the class digits.  Appending
-    digit r multiplies the values by p; each own column whose last nonzero
-    row is r is weighed there, once, from the live digits, through a table
-    that folds the reduction mod p into the unreduced sum of its terms; and
-    a digit that no later own column reads, bar a class digit, is dropped by
-    a minimum over its axis.  The messages whose digits so far are all zero
-    are carried apart, as table[0] per own column weighed, and enter at
-    their first nonzero digit, with ``halve`` only at 1 .. (p-1)/2, so the
-    zero message never enters.  A value above the largest own weight marks
-    one that no swept message takes.
-
-    Memory: digit r is appended in slices of its values, so that each
-    working array holds at most SWEEP_BUDGET / 4 elements while the values
-    held before it (2 p^live) do.  They do for every code below
-    ``codes.SWEEP_GUARD``, as do the p x p products mod p and the fold table
-    (2 k p).  Other digits are dropped within a slice; digit r itself, when
-    no later own column reads it (never in a shifted generator), once its
-    slices are joined.  Plus the codewords returned.  A slice that small
-    stays in cache: slices of SWEEP_BUDGET elements took (787, 1) from 2.1
-    to 7.2 s on 2 cores.
-    """
-    k = gen.shape[0]
-    mul = np.arange(p) * np.arange(p)[:, None] % p  # mul[g, a] = g a mod p
-    # per row, the own columns whose last read row it is: a column reads its
-    # nonzero rows (row 0 if none, as table[0]), each by its terms g a mod p
-    # over the digits a; a digit is dropped after the last row that weighs a
-    # column reading it, and a class digit never.  Both lists keep a spare
-    # entry for the zero columns of a half without rows
-    weighed = [[] for _ in range(k + 1)]
-    drop = [i if i < k - m else k for i in range(k + 1)]
-    for col in gen.T[own].tolist():
-        terms = {i: mul[g] for i, g in enumerate(col) if g} or {0: mul[0]}
-        weighed[max(terms)].append(terms)
-        for i in terms:
-            drop[i] = max(drop[i], max(terms))
-    lim = int(own.sum()) * int(tables.max())  # above lim: no message swept
-    # folded[s] weighs the residue s mod p, for every sum s of at most k terms
-    folded = tables.T[np.arange(k * p) % p].astype(np.min_scalar_type(2 * lim + 1))
-    top = (p + 1) // 2 if halve else p  # first nonzero digits swept are 1 .. top-1
-    least = np.full(2, lim + 1, dtype=folded.dtype)  # per live digit value, then table
-    for r in range(k):
-        live = [i for i in range(r + 1) if drop[i] >= r]
-        step = max(1, SWEEP_BUDGET // 4 // least.size)  # values of digit r per slice
-        parts = []
-        for a0 in range(0, p, step):
-            x = np.repeat(least[..., None, :], min(step, p - a0), axis=-2)
-            # the messages whose first nonzero digit is r, each own column
-            # weighed so far at table[0]
-            at = (0,) * (len(live) - 1) + (slice(max(1 - a0, 0), max(top - a0, 0)),)
-            x[at] = np.minimum(x[at], folded[:1] * sum(map(len, weighed[:r])))
-            for terms in weighed[r]:
-                # each read digit's terms along its axis, with an axis of
-                # length 1 per later live digit, summed by broadcasting
-                cut = {**terms, r: terms[r][a0 : a0 + step]}
-                v = sum(t.reshape((-1,) + (1,) * live[::-1].index(i)) for i, t in cut.items())
-                x += np.take(folded, v, axis=0, mode="clip")
-            parts.append(x.min(axis=tuple(a for a, i in enumerate(live[:-1]) if drop[i] == r)))
-        least = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
-        least = least.min(axis=-2) if drop[r] == r else least
-    words = gen[k - m :].T @ digits(np.arange(p**m), p, m).T
-    words %= p
-    return np.where(least > lim, np.iinfo(acc).max, least).reshape(-1, 2).T.astype(acc), words
-
-
-def _band_min_weights(gen, k_hi, deg, p, tables, acc):
-    """Least weight per table (``tables``, of dtype ``acc``) over the nonzero
-    messages of ``gen``: the meet-in-the-middle of :func:`cyclic_min_weights`
-    for any generator of the shape it needs.  The first k_hi rows vanish from
-    column k_hi + deg on, the others before column k_hi, and only the last
-    deg of the first k_hi rows and the first deg of the others reach the
-    overlap columns k_hi .. k_hi+deg-1."""
-    k, n = gen.shape
-    big = int(np.iinfo(acc).max)
-    hi_least, hi_words = _class_minima(
-        gen[:k_hi, : k_hi + deg], min(deg, k_hi), True, np.arange(k_hi + deg) < k_hi,
-        p, tables, acc,
-    )
-    # the low rows reversed, so that the low digits that reach the overlap come last
-    lo_least, lo_words = _class_minima(
-        gen[k_hi:][::-1, k_hi:], min(deg, k - k_hi), False, np.arange(n - k_hi) >= deg,
-        p, tables, acc,
-    )
-    hi_keep, lo_keep = hi_least[0] < big, lo_least[0] < big
-    hi_least, hi_dig = hi_least[:, hi_keep], hi_words[k_hi:, hi_keep].T
-    lo_least, lo_dig = lo_least[:, lo_keep], lo_words[:deg, lo_keep].T
-    # a half alone: the high halves with l = 0 and the low halves with h = 0,
-    # each also weighing table[0] per own column of the other, zero, half
-    t0 = tables[:, 0].tolist()
-    best = [big, big]
-    for least, dig, blank in ((hi_least, hi_dig, n - k_hi - deg), (lo_least, lo_dig, k_hi)):
-        if least.shape[1]:
-            alone = (least + np.take(tables, dig, axis=1).sum(axis=2, dtype=acc)).min(axis=1)
-            best = [min(b, a + blank * z) for b, a, z in zip(best, alone.tolist(), t0)]
-    if not lo_dig.shape[0]:  # k = 1: no low half to pair with
-        return best[0], best[1]
-    # sums[w, a, c] = weight w of the residue a + c mod p
-    residues = np.arange(p)
-    sums = np.take(tables, residues[:, None] + residues, axis=1, mode="wrap")
-    # a low class adds up row 0 of reads (below) and the rows 1 + deg a + j,
-    # a its value in overlap column j
-    picks = np.zeros((lo_dig.shape[0], deg + 1), dtype=np.intp)
-    picks[:, 1:] = 1 + deg * lo_dig + np.arange(deg)
-    hi_rows = max(1, SWEEP_BUDGET // (p * deg + 1))
-    for w in range(2):
-        hi_order = np.argsort(hi_least[w], kind="stable")
-        lo_order = np.argsort(lo_least[w], kind="stable")
-        hv, lv, lo_picks = hi_least[w, hi_order], lo_least[w, lo_order], picks[lo_order]
-        # the low classes in groups of equal own weight b, lightest first
-        weights, starts = np.unique(lv, return_index=True)
-        groups = list(zip(weights.tolist(), starts.tolist(), [*starts[1:].tolist(), lv.size]))
-        u0 = 0
-        # the high classes that the lightest group can still pair with
-        while u0 < (top := int(hv.searchsorted(best[w] - groups[0][0]))):
-            u1 = min(top, u0 + hi_rows)
-            # reads[0] holds the own weights of high classes u0 .. u1-1, and
-            # reads[1 + deg a + j] the weights of their overlap column j when
-            # the low class holds a there
-            reads = np.empty((1 + p * deg, u1 - u0), dtype=acc)
-            reads[0] = hv[u0:u1]
-            reads[1:] = sums[w][:, hi_dig[hi_order[u0:u1]].T].reshape(p * deg, u1 - u0)
-            for b, v0, v1 in groups:
-                # only the high classes lighter than best - b can lower best
-                while (cut := int(reads[0].searchsorted(best[w] - b))) and v0 < v1:
-                    vd = lo_picks[v0 : min(v1, v0 + max(1, SWEEP_BUDGET // ((deg + 1) * cut)))]
-                    s = reads[vd, :cut].sum(axis=1, dtype=acc)
-                    best[w] = min(best[w], b + int(s.min()))
-                    v0 += vd.shape[0]
-                if not cut:
-                    break  # and so do all heavier groups
-            u0 = u1
-    return best[0], best[1]
-
-
-def sweep_work(p: int, k: int, deg: int) -> int:
-    """The work of :func:`cyclic_min_weights` on k message digits over GF(p)
-    and a generator of degree deg: the entries the passes of its two halves
-    touch plus every class pair it could read, so at least the work it does;
-    the pruned pairing reads only the pairs that can still beat the best
-    weight.  Before its digit r, the pass over a half of h digits holds
-    min(r, deg) <= min(h - 1, deg) live digits, fewer where g has zero
-    coefficients, and appending the digit touches p^(live + 1) entries, so
-    the pass touches at most h p^min(h, deg + 1)."""
-    k_hi = k - k // 2
-    n_hi, n_lo = (p**k_hi - 1) // 2, p ** (k - k_hi) - 1
-    passes = sum(h * p ** min(h, deg + 1) for h in (k_hi, k // 2))
-    return passes + min(n_hi, p**deg) * min(n_lo, p**deg)
+    A depth-first walk extends a tuple of values by one value at a time, and
+    keeps it while, under either table, its message could still weigh at
+    most hi: its weight plus the least weight of a digit for each digit
+    left.  Per table, the values that fit are a prefix of the values sorted
+    by weight.  The walk is plain Python, about a microsecond per tuple:
+    rounds of a few tuples, as most are, cost less so than in numpy calls,
+    and weighing a tuple's C(k, r) messages costs more."""
+    order = [sorted(range(1, len(t)), key=t.__getitem__) for t in tables]
+    (t0, t1), least = tables, [min(t) for t in tables]
+    found = collections.defaultdict(list)  # per support size
+    stack = [((), 0, 0)]
+    while stack:
+        tup, w0, w1 = stack.pop()
+        s = len(tup) + 1  # the support size of the extended tuples
+        room = hi[0] - (k - s) * least[0] - w0, hi[1] - (k - s) * least[1] - w1
+        vals = order[0][: bisect.bisect_right(order[0], room[0], key=t0.__getitem__)]
+        more = order[1][: bisect.bisect_right(order[1], room[1], key=t1.__getitem__)]
+        vals += [v for v in more if t0[v] > room[0]]
+        z0, z1 = w0 + (k - s) * t0[0], w1 + (k - s) * t1[0]  # their zero digits' weight
+        for v in vals if s > 1 else [v for v in vals if 2 * v < len(t0)]:
+            if s < k:
+                stack.append((tup + (v,), w0 + t0[v], w1 + t1[v]))
+            msg = z0 + t0[v], z1 + t1[v]
+            found[s] += [(tup + (v,), x, w) for w, x in enumerate(msg) if lo[w] < x <= hi[w]]
+            if len(found[s]) >= block:
+                yield found.pop(s)
+    yield from filter(None, found.values())
 
 
 def cyclic_min_weights(
     g: np.ndarray, k: int, n: int, p: int, lee_table: np.ndarray, we_table: np.ndarray
 ) -> tuple[int, int]:
-    """Exhaustive (min Lee, min Euclid) weight over the nonzero codewords of
-    the cyclic code with generator polynomial coefficients ``g`` (ascending,
-    degree deg = n-k), by a meet-in-the-middle sweep over overlap classes.
+    """Exact (min Lee, min Euclid) weight over the nonzero codewords of the
+    cyclic [n, k] code over GF(p) with generator polynomial coefficients
+    ``g`` (ascending, degree deg = n - k), by an information-set search for
+    cyclic codes (Grassl, "Searching for linear codes with large minimum
+    distance", 2006).
 
-    A message splits into a high half h (its first k_hi = k - k//2 digits) and
-    a low half l (its last k//2 digits), and its codeword is c(h) + c(l).
-    Generator row i is g shifted by i, so c(h) is zero from column k_hi + deg
-    on and c(l) is zero before column k_hi.  With u = c(h)[k_hi : k_hi+deg]
-    and v = c(l)[k_hi : k_hi+deg] the overlap values, the weight under a
-    table T is
+    Systematic form: the information set is the last k positions.  Row i of
+    the parity matrix P is -(z^(deg+i) mod g) mod p, k steps of "times z,
+    mod g"; one step more gives z^n mod g, which is 1 exactly when g divides
+    z^n - 1.  That is checked, since the stop holds only for cyclic codes.
+    A message m weighs sum_i T(m_i) + sum_j T((m P mod p)_j) under a table T.
 
-        W(c(h)[:k_hi]) + W(c(l)[k_hi+deg:]) + sum_j T(u_j + v_j).
+    Enumeration: per table, the messages go by their message weight
+    sum_i T(m_i), table[0] counted for a zero digit, and by support size r:
+    each r-tuple of nonzero values whose message weight falls in the round's
+    range (:func:`_value_tuples`) meets all C(k, r) position sets.  Per block
+    of position sets, their rows of P are gathered once for the tuples of
+    both tables; the parity digits are a float64 matrix product, exact as
+    they stay below k p^2, reduced mod p and weighed by table lookups.
+    Negation keeps both weights, so of each pair (m, -m) only the message
+    whose first nonzero digit is at most (p-1)/2 is weighed; this needs odd
+    p and tables with table[r] == table[-r mod p], which are checked.
 
-    Why pairing classes is exact: the last term depends on h and l only
-    through (u, v).  So among the messages whose halves have overlap values u
-    and v, the lightest under T pairs a high half of class u whose own
-    columns c(h)[:k_hi] are lightest under T with a low half of class v whose
-    own columns c(l)[k_hi+deg:] are lightest under T; the two tables may pick
-    different halves.  Only u depends on h, and only through its last
-    min(k_hi, deg) digits; only v depends on l, through its first
-    min(k//2, deg) digits.  The sweep groups each half by those digits (a
-    class; when g[0] and g[deg] are nonzero the map to u or v is
-    triangular with an invertible diagonal, so the classes are the occupied
-    overlap values), finds per class and table the least weight of the own
-    columns by one min-plus pass over the half's message digits, which
-    encodes no codeword (:func:`_class_minima`), and pairs classes instead
-    of codewords.  When k_hi <= deg and k//2 <= deg every class holds one
-    codeword; otherwise the classes collide and there are at most p^deg of
-    them.  :func:`sweep_work` counts the entries the passes touch and bounds
-    the class pairs.
+    Stop: once every message of weight <= L has been seen and
+    best <= ceil(n (L + 1) / k), best is the minimum.
 
-    Pairing, pruned by a lower bound: the tables are non-negative, so a pair
-    of classes weighs at least the sum of their two own-column minima, and a
-    pair whose bound reaches the best weight found cannot lower it (the stop
-    of Brouwer-Zimmermann; Grassl, "Searching for linear codes with large
-    minimum distance", 2006).  The best weight starts from the messages with
-    l = 0 or h = 0, the high or the low halves alone: each its class minimum
-    plus the weight of its overlap values and of the other half's zero own
-    columns; the zero message is in neither half's classes.  Per table, the
-    high classes are sorted by own weight and the low classes grouped by it,
-    lightest group first.  A group of own weight b meets only the high
-    classes lighter than best - b, a prefix of the sorted ones that shrinks
-    as best falls, and the sweep stops at the first group that no high class
-    can meet.  For each overlap column j and residue a, the weights of
-    a + (the high classes' value in column j) mod p are read once over the
-    prefix, so a block of low classes costs one gather of deg + 1 rows per
-    low class and a sum over them, within SWEEP_BUDGET elements.
+    - Every cyclic shift of a codeword is a codeword of the same weight, and
+      any k cyclically consecutive positions are an information set.  So a
+      codeword that weighs at most L on some window of k cyclically
+      consecutive positions has a shift whose message weighs at most L, and
+      that message was enumerated.
+    - Any other codeword weighs at least L + 1 on each of the n windows, and
+      each position lies in k of them, so it weighs at least n (L + 1) / k.
 
-    Negation keeps both weights, so only one message of each pair (m, -m)
-    with h != 0 is swept: the high halves whose first nonzero digit is at
-    most (p-1)/2.  This needs odd p and tables with
-    table[r] == table[-r mod p], which are checked.  Sums accumulate in the
-    smallest unsigned dtype above n * max(table), whose largest value marks an
-    empty class.
+    As best is at most n max T, the level stays below k max T, where every
+    message is seen.
+
+    Rounds: a round enumerates only the message weights above the previous
+    level, the first one those up to the lightest message's.  The next level
+    is the smaller of the one the current best needs, floor(k (best-1) / n),
+    and twice the current one, so no round goes far past the level the code
+    needs.  Before each round its messages are counted exactly: per table
+    and r, the r-tuples in range, from their weight distribution (one
+    convolution per r), times C(k, r).  A round of more than SEARCH_GUARD
+    messages raises ValueError, naming the count.
+
+    Memory: tuples go in blocks of about SWEEP_BUDGET / (16 k), and
+    position sets in blocks small enough that the parity digits of a block
+    of sets times a block of tuples hold at most SWEEP_BUDGET elements, as
+    does every other working array.
     """
     if p % 2 == 0:
-        raise ValueError(f"the sweep pairs m with -m and needs an odd p, got {p}")
+        raise ValueError(f"the search pairs m with -m and needs an odd p, got {p}")
     tables = np.stack([lee_table, we_table]).astype(np.int64)
     if tables.min() < 0 or not np.array_equal(tables, tables[:, -np.arange(p) % p]):
         raise ValueError("weight tables must be non-negative with table[r] == table[-r mod p]")
-    acc = np.min_scalar_type(n * int(tables.max()) + 1)
-    return _band_min_weights(
-        shifted_generator(g, k, n), k - k // 2, g.size - 1, p, tables.astype(acc), acc
-    )
+    g = [int(c) % p for c in g]
+    deg = len(g) - 1
+    shift = [-c * pow(g[-1], -1, p) % p for c in g[:-1]]  # z^deg mod g
+    rows = [rem := shift]
+    for _ in range(k):  # z^(deg+i) mod g for i = 1 .. k: times z, mod g
+        rows.append(rem := [(a + rem[-1] * b) % p for a, b in zip([0, *rem[:-1]], shift)])
+    if rows.pop() != [1, *[0] * (deg - 1)][:deg]:
+        raise ValueError(f"g must divide z^{n} - 1 over GF({p}): the stop holds for cyclic codes")
+    par = -np.array(rows, dtype=np.float64).reshape(k, deg) % p
+    acc = np.int32 if max(k * p * p, n * int(tables.max())) < 2**31 else np.int64
+    tabs = tables.tolist()
+    level = [min(t[1:]) + (k - 1) * min(t) for t in tabs]  # the lightest message
+    seen, best = [-1, -1], [n * max(map(max, tabs)) + 1] * 2  # above every weight
+    while True:
+        # per table and support size r, the r-tuples of values in the round's range
+        total = 0
+        for w, t in enumerate(tabs):
+            # weight counts of the nonzero values, and of the first ones
+            size = level[w] + 1
+            hist = np.bincount(t[1:], minlength=size)[:size].astype(object)
+            dist = np.bincount(t[1 : (p + 1) // 2], minlength=size)[:size].astype(object)
+            for r in range(1, k + 1):
+                if seen[w] == level[w] or not dist.any():
+                    break  # no r-tuple is in range, nor any longer one
+                # the tuple weights in range, less the k - r zero digits'
+                a, b = (max(x - (k - r) * t[0] + 1, 0) for x in (seen[w], level[w]))
+                total += math.comb(k, r) * int(dist[a:b].sum())
+                dist = np.convolve(dist, hist)[:size]
+        if total > SEARCH_GUARD:
+            raise ValueError(f"the next round weighs {total} messages, above {SEARCH_GUARD = }")
+        hi = [lv if sn < lv else -1 for sn, lv in zip(seen, level)]
+        for found in _value_tuples(k, seen, hi, tabs, max(1, SWEEP_BUDGET // (16 * k))):
+            tup, wt, tab = map(np.array, zip(*found))
+            r = tup.shape[1]
+            step = max(1, SWEEP_BUDGET // (max(deg, 1) * (wt.size + r)))
+            sets = itertools.combinations(range(k), r)
+            while (c := np.fromiter(itertools.islice(sets, step), (np.intp, r))).size:
+                # per set, its rows of P times each tuple's values: the parity
+                # digits (set, digit, tuple), unreduced below r p^2 and exact
+                code = np.matmul(par[c].transpose(0, 2, 1), tup.T).astype(acc) % p + p * tab
+                least = np.take(tables.astype(acc), code).sum(axis=1, dtype=acc).min(axis=0) + wt
+                best = [int(least.min(initial=b, where=tab == w)) for w, b in enumerate(best)]
+        # best needs the level floor(k (best-1) / n): at or below level L,
+        # best <= ceil(n (L+1) / k) and the table is done; above, its next
+        # level is the lesser of that one and twice L
+        seen = level
+        level = [max(x, min(k * (b - 1) // n, max(2 * x, 1))) for b, x in zip(best, level)]
+        if seen == level:
+            return best[0], best[1]

@@ -77,6 +77,18 @@ def test_gilbert_yaglom_examples():
         bounds.gilbert_yaglom_rate(3, x=math.log(1.5))
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_gilbert_yaglom_rate_is_zero_at_rho_1_for_odd_q(q):
+    # lambda = a = ((q-1)/2)^2 is the largest coordinate weight at x = 0: the
+    # ball is all of Z_q^n, outside the saddle solver's domain
+    assert bounds.gilbert_yaglom_rate(q, x=0.0) == 0.0
+    assert bounds.gilbert_yaglom_rate(q, x=-1e-12) == 0.0
+
+
+def test_gilbert_yaglom_rate_at_rho_1_for_even_q_is_unchanged():
+    assert bounds.gilbert_yaglom_rate(2, x=0.0) == 0.18872187554086717
+
+
 @pytest.mark.parametrize("q", [3, 7, 13])
 def test_gilbert_yaglom_rate_rises_toward_log2_q(q):
     # down to x = -700, where lambda = a rho is near the smallest normal double

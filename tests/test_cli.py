@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from spherecodes import cli
+from spherecodes import cli, kernels
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,17 @@ def test_bounds_gilbert_yaglom_far_below_rho_1e_30(capsys):
     rates = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
     assert len(rates) == 3
     assert all(0.0 < r <= math.log2(7) for r in rates)
+
+
+def test_bounds_gilbert_yaglom_reaches_rho_1_for_odd_q(capsys):
+    # lambda = a at x = 0 is the largest coordinate weight of Z_7: rate 0
+    code, out, err = run_cli(
+        capsys, "bounds", "--kind", "gilbert_yaglom", "--q", "7", "--x-min", "-5",
+        "--x-max", "0",
+    )
+    assert code == 0, err
+    last = out.strip().split("\n")[-1].split(",")
+    assert float(last[0]) == 0.0 and float(last[2]) == 0.0
 
 
 @pytest.mark.parametrize("x_min", ["-720", "-10000"])
@@ -214,8 +225,8 @@ def test_build_usage_error(capsys):
 
 
 def test_build_sweeps_bch_past_the_codeword_count(capsys):
-    # 13^9 codewords: beyond a guard on codewords, but the overlap classes of
-    # the two message halves collide, so the sweep pairs 2197 x 2197 classes
+    # 13^9 codewords: beyond a guard on codewords, but the search's rounds
+    # weigh a few thousand messages
     code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "13", "--t", "3")
     assert code == 0
     assert err == ""
@@ -224,8 +235,7 @@ def test_build_sweeps_bch_past_the_codeword_count(capsys):
 
 
 def test_build_sweeps_bch_17_2(capsys):
-    # 17^14 codewords, once refused: the min-plus passes over the message
-    # digits hold 17^3 weights per digit and the halves pair 289 x 289 classes
+    # 17^14 codewords, once refused
     code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "2")
     assert code == 0
     assert err == ""
@@ -233,13 +243,24 @@ def test_build_sweeps_bch_17_2(capsys):
     assert "measured min distance 4 (exhaustive (min lee weight 4))" in out
 
 
-def test_build_refuses_oversized_bch_sweep(capsys):
-    # 17^12 codewords whose halves could pair 17^4 x 17^4 overlap classes:
-    # refused before any sweep starts
+def test_build_searches_bch_17_4(capsys):
+    # 17^12 codewords, refused by the overlap-class sweep's guard
     code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "17", "--t", "4")
+    assert code == 0
+    assert err == ""
+    assert "BCH[16,12] over GF(17): n=16 |C|=17^12" in out
+    assert "measured min distance 8 (exhaustive (min lee weight 8))" in out
+
+
+def test_build_refuses_oversized_bch_sweep(capsys):
+    # a round of the search past the guard is refused before it starts, and
+    # the message names its count
+    code, out, err = run_cli(capsys, "build", "--inner", "bch", "--p", "23", "--t", "6")
     assert code == 2
     assert out == ""
-    assert "codewords" in err
+    # 22,840,784 messages of Lee or Euclid weight 5 to 8 in the fourth round
+    assert "weighs 22840784 messages" in err
+    assert 22840784 > kernels.SEARCH_GUARD
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

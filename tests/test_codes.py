@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,19 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
         kernels.cyclic_min_weights(g, code.k, code.n, 8, lee, lee)
 
 
+def test_min_weight_search_rejects_a_non_cyclic_generator():
+    # the stop needs every cyclic shift of a codeword in the code: z + 1
+    # does not divide z^5 - 1 over GF(7), nor does z - 1 with a coefficient
+    # changed divide z^6 - 1
+    lee = euclid.constellation(7).lee_table
+    with pytest.raises(ValueError, match="divide"):
+        kernels.cyclic_min_weights(np.array([1, 1]), 4, 5, 7, lee, lee)
+    g = np.asarray(codes.lee_bch(7, 2).g, dtype=np.int64)
+    g[0] = (g[0] + 1) % 7
+    with pytest.raises(ValueError, match="divide"):
+        kernels.cyclic_min_weights(g, 4, 6, 7, lee, lee)
+
+
 # exact minima of the codes past the brute-force family.  (11, 2) to (11, 4)
 # and (13, 6) come from the chunked exhaustive sweep that the
 # meet-in-the-middle sweeps replaced; (13, 2) and (13, 3), past the guard of
@@ -357,9 +371,11 @@ def test_min_weight_sweep_rejects_asymmetric_tables():
 # the overlap-class sweep both with all class pairs read and with the pairs
 # pruned by their bound; (17, 2), (31, 2), (19, 3) and (23, 3), past the
 # guard of the overlap-class sweep, from the min-plus pass over the message
-# digits.  (13, 2) to (13, 4) and the codes past p = 13 equal the 2t Lee
-# floor of the family, and test_pinned_floor_minima_have_witnesses finds a
-# codeword of 2t entries +-1 that attains both weights
+# digits; (17, 4), (19, 4), (29, 3), (31, 3) and (127, 2), past the guard of
+# that pass, from the cyclic information-set search.  (13, 2) to (13, 4) and
+# the codes past p = 13 equal the 2t Lee floor of the family, and
+# test_pinned_floor_minima_have_witnesses finds a codeword of 2t entries +-1
+# that attains both weights
 _PINNED_MIN_WEIGHTS = {
     (11, 2): (4, 4),
     (11, 3): (6, 6),
@@ -370,9 +386,14 @@ _PINNED_MIN_WEIGHTS = {
     (13, 5): (10, 12),
     (13, 6): (12, 12),
     (17, 2): (4, 4),
+    (17, 4): (8, 8),
     (19, 3): (6, 6),
+    (19, 4): (8, 8),
     (23, 3): (6, 6),
+    (29, 3): (6, 6),
     (31, 2): (4, 4),
+    (31, 3): (6, 6),
+    (127, 2): (4, 4),
 }
 
 
@@ -381,11 +402,15 @@ def test_lee_bch_min_weights_pinned(p, t):
     assert codes.lee_bch(p, t).min_weights() == _PINNED_MIN_WEIGHTS[(p, t)]
 
 
-@pytest.mark.parametrize("p,t", [(13, 2), (13, 3), (13, 4), (17, 2), (19, 3), (23, 3), (31, 2)])
+@pytest.mark.parametrize(
+    "p,t",
+    [(13, 2), (13, 3), (13, 4), (17, 2), (19, 3), (23, 3), (31, 2),
+     (17, 4), (19, 4), (29, 3), (31, 3), (127, 2)],
+)
 def test_pinned_floor_minima_have_witnesses(p, t):
     # Lee weight >= 2t and Euclid >= Lee bound both minima from below, so a
     # codeword with 2t entries +-1 proves them; search the supports and signs
-    # for one with c(alpha^j) = 0, j < t, sharing no code with the sweep
+    # for one with c(alpha^j) = 0, j < t, sharing no code with the search
     code = codes.lee_bch(p, t)
     roots = [pow(code.alpha, j, p) for j in range(t)]
     powers = np.array([[pow(r, i, p) for r in roots] for i in range(code.n)])
@@ -399,11 +424,32 @@ def test_pinned_floor_minima_have_witnesses(p, t):
 
 
 def test_sweep_guard_counts_work_not_codewords():
-    assert kernels.sweep_work(13, 9, 3) <= codes.SWEEP_GUARD < codes.lee_bch(13, 3).size
-    # reachable before, and its classes do not collide
-    assert kernels.sweep_work(13, 8, 4) <= codes.SWEEP_GUARD
-    with pytest.raises(ValueError, match="codewords"):
-        codes.lee_bch(17, 4).min_weights()
+    # the guard bounds the messages a round weighs, not the codewords:
+    # (13, 3) has 13^9 codewords, above the guard, and rounds of a few
+    # thousand messages; a code whose next round is past it is refused,
+    # before the round starts, with the round's count
+    assert codes.lee_bch(13, 3).size > kernels.SEARCH_GUARD
+    assert codes.lee_bch(13, 3).min_weights() == (6, 6)
+    with pytest.raises(ValueError, match=r"weighs \d+ messages") as err:
+        codes.lee_bch(23, 6).min_weights()
+    assert int(re.search(r"weighs (\d+) messages", str(err.value)).group(1)) > kernels.SEARCH_GUARD
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_sweep_guard_counts_the_first_round_exactly(p, data):
+    # with no messages allowed, the first round is refused, and its count
+    # is every message of the lightest message weight under either table,
+    # one of each (m, -m)
+    k = data.draw(st.integers(1, p - 2), label="k")
+    g = _cyclic_generator(p, range(1, p - k))
+    tables = [_symmetric_table(data, p), _symmetric_table(data, p)]
+    msgs = kernels.digits(np.arange(1, p**k), p, k)
+    msgs = msgs[msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)] <= (p - 1) // 2]
+    want = sum(int((t[msgs].sum(axis=1) == t[msgs].sum(axis=1).min()).sum()) for t in tables)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match=f"weighs {want} "):
+        mp.setattr(kernels, "SEARCH_GUARD", 0)
+        kernels.cyclic_min_weights(g, k, p - 1, p, *tables)
 
 
 def _encode_int16(start, count, p, rows):
@@ -473,8 +519,8 @@ def _brute_min_weights(gen, p, tables):
 
 
 def _symmetric_table(data, p):
-    # table[0] may be positive, which the sweep accepts; mostly-zero tables
-    # leave many class pairs tied with the best weight at the pruning bound
+    # table[0] may be positive, which the search accepts; mostly-zero tables
+    # leave many messages of message weight 0 and many codewords tied
     zero = data.draw(st.one_of(st.just(0), st.integers(1, 9)), label="table[0]")
     sparse = data.draw(st.booleans(), label="sparse")
     entry = st.sampled_from([0, 0, 0, 1, 3]) if sparse else st.integers(0, 9)
@@ -482,137 +528,55 @@ def _symmetric_table(data, p):
     return np.array([zero, *half, *half[::-1]])
 
 
+def _cyclic_generator(p, roots):
+    # prod (z - b) over the roots, coefficients ascending: a divisor of
+    # z^(p-1) - 1 over GF(p)
+    g = [1]
+    for b in roots:
+        g = [(lo - b * hi) % p for lo, hi in zip([0, *g], [*g, 0])]
+    return np.array(g)
+
+
 @settings(max_examples=120, deadline=None)
-@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(1, 3), data=st.data())
-def test_class_sweep_matches_brute_force_property(p, deg, data):
-    # random generator polynomials (g[0] == 0 included), message lengths
-    # with p^k <= 2e4 and random symmetric tables (table[0] > 0 and mostly
-    # zero ones included); k = 1 leaves the low half empty, k_hi > deg makes
-    # classes collide, k_hi <= deg keeps them single
-    k = data.draw(st.integers(1, int(math.log(2e4, p))), label="k")
-    g = np.array([*data.draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)),
-                  data.draw(st.integers(1, p - 1))])
+@given(p=st.sampled_from([3, 5, 7, 11]), data=st.data())
+def test_class_sweep_matches_brute_force_property(p, data):
+    # random cyclic codes of length p - 1: generators over a random nonempty
+    # proper subset of GF(p)*, with p^k <= 2e4, and random symmetric tables
+    # (table[0] > 0 and mostly zero ones included); k = 1 enumerates every
+    # message in its first rounds, larger k stop on the cyclic bound
+    n = p - 1
+    deg = data.draw(st.integers(max(1, n - int(math.log(2e4, p))), n - 1), label="deg")
+    roots = data.draw(st.permutations(range(1, p)), label="roots")[:deg]
+    g = _cyclic_generator(p, roots)
     tables = [_symmetric_table(data, p), _symmetric_table(data, p)]
-    n = k + deg
-    gen = np.zeros((k, n), dtype=np.int64)
-    for i in range(k):
-        gen[i, i : i + deg + 1] = g
-    assert kernels.cyclic_min_weights(g, k, n, p, *tables) == _brute_min_weights(gen, p, tables)
+    gen = kernels.shifted_generator(g, n - deg, n)
+    assert kernels.cyclic_min_weights(g, n - deg, n, p, *tables) == _brute_min_weights(gen, p, tables)
 
 
-# k = 1 (empty low half); classes colliding in the high half, in both
-# halves, or in neither (deg >= k_hi)
-@pytest.mark.parametrize("p,k,deg", [(3, 1, 2), (7, 1, 1), (5, 5, 1), (3, 9, 2),
-                                     (5, 6, 2), (5, 4, 3), (7, 2, 3), (3, 5, 3)])
+# (p, k, deg): k = 1, where every message is enumerated; small and large
+# generators; the most message digits the brute force admits at p = 11
+@pytest.mark.parametrize("p,k,deg", [(3, 1, 1), (5, 3, 1), (5, 2, 2), (5, 1, 3),
+                                     (7, 5, 1), (7, 3, 3), (7, 1, 5), (11, 4, 6)])
 def test_class_sweep_matches_brute_force_regimes(p, k, deg):
     rng = np.random.default_rng(100 * p + 10 * k + deg)
     for _ in range(5):
-        g = np.append(rng.integers(0, p, deg), rng.integers(1, p))
+        g = _cyclic_generator(p, rng.permutation(np.arange(1, p))[:deg].tolist())
         half = rng.integers(0, 10, size=(2, (p - 1) // 2))
         tables = np.hstack([np.zeros((2, 1), dtype=np.int64), half, half[:, ::-1]])
-        gen = np.zeros((k, k + deg), dtype=np.int64)
-        for i in range(k):
-            gen[i, i : i + deg + 1] = g
         got = kernels.cyclic_min_weights(g, k, k + deg, p, *tables)
-        assert got == _brute_min_weights(gen, p, tables)
-
-
-@settings(max_examples=120, deadline=None)
-@given(p=st.sampled_from([3, 5, 7]), deg=st.integers(0, 3), data=st.data())
-def test_band_sweep_matches_brute_force_property(p, deg, data):
-    # random generators of the shape the sweep relies on: high rows zero
-    # from column k_hi + deg on, low rows zero before column k_hi, and only
-    # the deg digits of each half next to the overlap columns reach them.
-    # Unlike shifted rows, these can hold their lightest codewords only among
-    # the messages with h = 0 or l = 0
-    k = data.draw(st.integers(1, int(math.log(2e4, p))), label="k")
-    k_hi, n = k - k // 2, k + deg
-    mid = slice(k_hi, k_hi + deg)
-    mask = np.zeros((k, n), dtype=bool)
-    mask[:k_hi, :k_hi] = True
-    mask[max(0, k_hi - deg) : k_hi, mid] = True
-    mask[k_hi : k_hi + deg, mid] = True
-    mask[k_hi:, k_hi + deg :] = True
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
-    gen = np.where(mask, np.reshape(entries, (k, n)), 0)
-    tables = np.stack([_symmetric_table(data, p), _symmetric_table(data, p)])
-    acc = np.min_scalar_type(n * int(tables.max()) + 1)
-    got = kernels._band_min_weights(gen, k_hi, deg, p, tables.astype(acc), acc)
-    assert got == _brute_min_weights(gen, p, tables)
-
-
-# band generators over GF(5) (k_hi = deg = 2) whose lightest codewords under
-# the Euclid table are the high halves alone (l = 0) or the low halves alone
-# (h = 0): every message with both halves nonzero is heavier
-_LONE_HALF = {
-    "high": [[2, 2, 3, 4, 0, 0], [4, 4, 1, 1, 0, 0], [0, 0, 1, 2, 3, 2], [0, 0, 4, 3, 4, 2]],
-    "low": [[3, 0, 1, 3, 0, 0], [0, 3, 2, 3, 0, 0], [0, 0, 1, 3, 0, 4], [0, 0, 4, 2, 4, 0]],
-}
-
-
-@pytest.mark.parametrize("light", sorted(_LONE_HALF))
-def test_band_sweep_finds_a_lone_half(light):
-    gen = np.array(_LONE_HALF[light])
-    tables = np.array([[0, 1, 2, 2, 1], [0, 1, 4, 4, 1]])
-    msgs = np.stack(np.unravel_index(np.arange(1, 5**4), (5,) * 4), axis=1)
-    weights = tables[1][msgs @ gen % 5].sum(axis=1)
-    alone = ~msgs[:, :2].any(axis=1) if light == "low" else ~msgs[:, 2:].any(axis=1)
-    assert weights[alone].min() < weights[~alone].min()
-    acc = np.min_scalar_type(6 * 4 + 1)
-    got = kernels._band_min_weights(gen, 2, 2, 5, tables.astype(acc), acc)
-    assert got == _brute_min_weights(gen, 5, tables)
-
-
-def _brute_class_minima(gen, m, halve, own, p, tables):
-    # every swept message encoded: the nonzero ones, with halve only those
-    # whose first nonzero digit is at most (p-1)/2, grouped by their last m
-    # digits
-    k = gen.shape[0]
-    big = np.iinfo(tables.dtype).max
-    least = np.full((2, p**m), big, dtype=tables.dtype)
-    msgs = kernels.digits(np.arange(1, p**k), p, k)
-    if halve and k:
-        msgs = msgs[msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)] <= (p - 1) // 2]
-    weights = tables[:, msgs @ gen[:, own] % p].sum(axis=2)
-    classes = msgs[:, k - m :] @ p ** np.arange(m - 1, -1, -1)
-    for w in range(2):
-        np.minimum.at(least[w], classes, weights[w])
-    words = (kernels.digits(np.arange(p**m), p, m) @ gen[k - m :] % p).T
-    return least, words
-
-
-@settings(max_examples=150, deadline=None)
-@given(p=st.sampled_from([3, 5, 7]), data=st.data())
-def test_class_minima_match_brute_force_property(p, data):
-    # any generator, zero rows and columns included, any class length, own
-    # columns and halving: each class's least own weight over the swept
-    # messages, and the codewords of messages 0 .. p^m - 1
-    k = data.draw(st.integers(0, int(math.log(3000, p))), label="k")
-    n = data.draw(st.integers(1, 6), label="n")
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
-    gen = np.reshape(np.array(entries, dtype=np.int64), (k, n))
-    m = data.draw(st.integers(0, k), label="m")
-    halve = data.draw(st.booleans(), label="halve")
-    own = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    tables = np.stack([_symmetric_table(data, p), _symmetric_table(data, p)])
-    acc = np.min_scalar_type(n * int(tables.max()) + 1)
-    tables = tables.astype(acc)
-    least, words = kernels._class_minima(gen, m, halve, own, p, tables, acc)
-    want_least, want_words = _brute_class_minima(gen, m, halve, own, p, tables)
-    assert least.dtype == acc and np.array_equal(least, want_least)
-    assert np.array_equal(words, want_words)
+        assert got == _brute_min_weights(kernels.shifted_generator(g, k, k + deg), p, tables)
 
 
 def test_sweep_memory_stays_within_the_budget():
-    # (113, 2) holds the largest stage of the codes below the guard: 113^3
-    # weights per table, in slices of SWEEP_BUDGET / 4 elements.  Each
-    # working array holds at most SWEEP_BUDGET elements of at most 8 bytes,
-    # and at most three are held at once (the high half's codewords among
-    # them while the low half is swept); unsliced, the passes peak at 39 MiB
-    code = codes.lee_bch(113, 2)
+    # (61, 3) holds the largest round admitted among p <= 200: 6.9e6
+    # messages.  Each working array holds at most SWEEP_BUDGET elements:
+    # the parity digits of a block of position sets times a block of
+    # tuples, as float64 products, their int32 residues plus table offsets
+    # and the weights read, a few of them at once
+    code = codes.lee_bch(61, 3)
     tracemalloc.start()
     try:
-        assert code.min_weights() == (4, 4)
+        assert code.min_weights() == (6, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spherecodes import counting
 from spherecodes.counting import (
     ball_size,
+    ball_sizes,
     enumerator,
     saddle_solve,
     theta_defect,
@@ -91,6 +92,14 @@ def test_ball_size_matches_convolution_oracle(q, n):
     assert ball_size(q, n, -1) == 0
     for r in range(top + 3):
         assert ball_size(q, n, r) == sum(coeffs[: r + 1]), r
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 4), (5, 3), (6, 2), (8, 7), (11, 12), (4, 30)])
+def test_ball_sizes_match_ball_size_radius_by_radius(q, n):
+    # through n * w_max + 3, past the radius where the ball is all of Z_q^n
+    top = n * enumerator(q).w_max + 3
+    assert ball_sizes(q, n, top) == [ball_size(q, n, r) for r in range(top + 1)]
+    assert ball_sizes(q, n, -1) == [] and ball_sizes(q, n, 0) == [1]
 
 
 def test_ball_size_binary_is_partial_binomial_sum():
