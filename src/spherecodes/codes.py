@@ -9,6 +9,7 @@ are recomputed independently (exhaustively at small scale, sampled above).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import euclid, gf, kernels
 from .euclid import constellation
-from .gf import ExtField, RSCode, is_probable_prime
+from .gf import RSCode, is_probable_prime
 
 #: scale guard for full word-space scans
 GREEDY_GUARD = 10**7
@@ -132,7 +133,8 @@ class ConcatenatedCode:
 
     Each outer symbol, read as its coefficient vector of length k over GF(p),
     becomes the inner-code message for one block.  The squared-distance floor
-    multiplies: d_outer * inner floor.
+    multiplies: d_outer * inner floor.  The code is GF(p)-linear, with the one
+    generator :meth:`generator_matrix`.
     """
 
     outer: RSCode
@@ -156,26 +158,35 @@ class ConcatenatedCode:
         return self.p**self.k_total
 
     def encode(self, messages) -> np.ndarray:
-        """Encode rows of outer messages (shape (m, k_out), field-int symbols)."""
+        """Encode rows of outer messages (shape (m, k_out), field-int symbols):
+        the outer codeword, then each of its symbols through the inner code."""
         symbols = self.outer.encode(messages)  # (m, n_out)
         digits = self.outer.fld.to_digits(symbols)  # (m, n_out, k_in)
         blocks = (digits @ self.inner.generator_matrix) % self.p  # (m, n_out, n_in)
         return blocks.reshape(symbols.shape[0], self.n)
 
     def encode_p_message(self, messages) -> np.ndarray:
-        """Encode rows of GF(p) digit messages (shape (m, k_total))."""
+        """Encode rows of GF(p) digit messages (shape (m, k_total)): one
+        product with :meth:`generator_matrix`, mod p."""
         msgs = np.atleast_2d(np.asarray(messages, dtype=np.int64))
         if msgs.shape[1] != self.k_total:
             raise ValueError(f"messages must have {self.k_total} digits")
-        symbols = self.outer.fld.from_digits(
-            msgs.reshape(msgs.shape[0], self.outer.k_out, self.inner.k)
-        )
-        return self.encode(symbols)
+        return msgs @ self.generator_matrix() % self.p
 
     def generator_matrix(self) -> np.ndarray:
-        """GF(p)-generator of the concatenated code (k_total x n)."""
-        eye = np.eye(self.k_total, dtype=np.int64)
-        return self.encode_p_message(eye)
+        """GF(p) generator of the concatenated code (k_total x n, read-only),
+        built once per code: the outer generator (:meth:`RSCode.generator`)
+        with each k-digit block of columns times the inner generator, mod p.
+        Row i k + j is the codeword of the message whose only nonzero digit is
+        digit j of outer symbol i."""
+        return self._generator
+
+    @functools.cached_property
+    def _generator(self) -> np.ndarray:
+        outer = self.outer.generator().reshape(self.k_total, self.outer.n_out, self.inner.k)
+        gen = (outer @ self.inner.generator_matrix % self.p).reshape(self.k_total, self.n)
+        gen.flags.writeable = False
+        return gen
 
     def sample_words(self, count: int, seed: int = 0) -> np.ndarray:
         """``count`` distinct codewords of uniformly drawn messages.
@@ -184,6 +195,7 @@ class ConcatenatedCode:
         points coincide (two equal points would put rho at 0).
         """
         Q, k_out = self.outer.fld.Q, self.outer.k_out
+        self.outer.fld.check_int64()
         if count > Q**k_out:
             raise ValueError(f"cannot sample {count} distinct codewords of {Q}^{k_out}")
         rng = np.random.default_rng(seed)
@@ -196,47 +208,39 @@ class ConcatenatedCode:
                 return self.encode(msgs)
             msgs[repeat] = rng.integers(0, Q, size=(int(repeat.sum()), k_out))
 
-    def symbol_weights(self) -> np.ndarray:
-        """Euclidean weight W[s] of the inner codeword of each outer symbol s.
-
-        A codeword with outer symbols c_1 .. c_{n_out} has weight
-        sum_i W[c_i], so a table of Q = p^k entries replaces the inner encode.
-        """
-        fld = self.outer.fld
-        table = constellation(self.p).euclid_table
-        return table[self.inner.encode(fld.to_digits(np.arange(fld.Q)))].sum(axis=1)
-
     def sampled_min_distance(self, pairs: int, seed: int = 0) -> int:
         """Minimum difference weight over ``pairs`` random distinct codeword pairs.
 
         The code is GF(p)-linear, so d(c(a), c(b)) = wt(c(a - b)).  Each pair
-        costs one outer encode, of the digit difference of its two messages
-        by the outer code's GF(p) generator (k_total x n_out k), reduced mod p
-        after the product.  The weight of the codeword is then
-        sum_i W[s_i] over its n_out outer symbols s_i, with W the table of
-        :meth:`symbol_weights`.  The digit differences lie in [-(p-1), p-1],
-        so the product runs on BLAS in float64 and is exact: every partial
-        sum is an integer of absolute value at most k_total (p-1)^2, which
-        must stay below 2^53.  One gather from a table over that range
-        reduces the product mod p.
+        costs one product: the digit difference of its two messages times
+        :meth:`generator_matrix`.  The digit differences lie in [-(p-1), p-1],
+        so the product runs on BLAS in float64 and is exact: every partial sum
+        is an integer of absolute value at most top = k_total (p-1)^2, which
+        must stay below 2^53.  One fold table maps each unreduced value in
+        [-top, top] to the Euclid weight of its residue mod p, and the weight
+        of the codeword is the fold summed over its n positions.
 
         Memory: the draws are int64 as the generator returns them, and each
         is narrowed to the field's smallest unsigned dtype at once, so the
         scan holds one int64 draw array at a time, the two narrowed draw
-        arrays (at most 2 bytes a symbol, as Q <= 2^14) and one block.  A
-        block has about 2^17 elements per working array (4096 pairs for the
-        README code's 32 digit columns), so its products stay in cache and
-        BLAS keeps small buffers.
+        arrays and one block.  A block has about 2^17 elements per working
+        array (2730 pairs for the README code's 48 positions), so its
+        products stay in cache and BLAS keeps small buffers.  The draws'
+        digits are gathered from a table of every symbol's digits while it
+        holds at most ``kernels.SWEEP_BUDGET`` elements (Q k), and computed
+        from each block's draws above that: no array grows with Q past the
+        budget.
         """
         if pairs < 1:
             raise ValueError(f"pairs must be >= 1, got {pairs}")
+        fld, k_out = self.outer.fld, self.outer.k_out
+        fld.check_int64()
         top = self.k_total * (self.p - 1) ** 2
         if top >= 2**53:
             raise ValueError(
                 "k_total * (p-1)^2 must stay below 2^53 for an exact float64 encode"
             )
         rng = np.random.default_rng(seed)
-        fld, k_out = self.outer.fld, self.outer.k_out
         narrow = np.min_scalar_type(fld.Q - 1)
         a = rng.integers(0, fld.Q, size=(pairs, k_out)).astype(narrow)
         b = rng.integers(0, fld.Q, size=(pairs, k_out)).astype(narrow)
@@ -244,22 +248,29 @@ class ConcatenatedCode:
         while np.any(same):
             b[same] = rng.integers(0, fld.Q, size=(int(same.sum()), k_out))
             same = np.all(a == b, axis=1)
-        # digits in the order encode_p_message reads them
-        digits = fld.to_digits(np.arange(fld.Q)).astype(np.float64)
-        units = np.eye(self.k_total, dtype=np.int64).reshape(self.k_total, k_out, fld.k)
-        gen = fld.to_digits(self.outer.encode(fld.from_digits(units)))
-        gen = gen.reshape(self.k_total, -1).astype(np.float64)
-        fold = (np.arange(-top, top + 1) % self.p).astype(np.min_scalar_type(self.p))
-        weights = self.symbol_weights()
+        if fld.Q * fld.k <= kernels.SWEEP_BUDGET:
+            table = fld.to_digits(np.arange(fld.Q)).astype(np.float64)
+
+            def digits(s):
+                return np.take(table, s, axis=0)
+        else:
+
+            def digits(s):
+                return fld.to_digits(s).astype(np.float64)
+
+        gen = self.generator_matrix().astype(np.float64)
+        weights = constellation(self.p).euclid_table
+        fold = weights[np.arange(-top, top + 1) % self.p].astype(np.min_scalar_type(weights.max()))
+        # the narrowest dtype that holds every codeword weight sums fastest
+        acc = np.min_scalar_type(self.n * int(weights.max()))
         best = np.iinfo(np.int64).max
-        chunk = kernels._block_rows(1, gen.shape[1], 1 << 17)
+        chunk = kernels._block_rows(1, self.n, 1 << 17)
         for i0 in range(0, pairs, chunk):
-            diff = np.take(digits, a[i0 : i0 + chunk], axis=0)
-            diff -= np.take(digits, b[i0 : i0 + chunk], axis=0)
+            diff = digits(a[i0 : i0 + chunk])
+            diff -= digits(b[i0 : i0 + chunk])
             prod = diff.reshape(diff.shape[0], self.k_total) @ gen
             prod += top
-            symbols = fld.from_digits(fold[prod.astype(np.intp)].reshape(len(diff), -1, fld.k))
-            best = min(best, int(weights[symbols].sum(axis=1).min()))
+            best = min(best, int(fold[prod.astype(np.intp)].sum(axis=1, dtype=acc).min()))
         return best
 
 

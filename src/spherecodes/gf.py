@@ -1,14 +1,13 @@
-"""Prime-field helpers, GF(p^k) arithmetic with lookup tables, and primality.
+"""Prime-field helpers, GF(p^k) as GF(p) matrices, Reed-Solomon codes, and primality.
 
 Extension-field elements are identified with integers in [0, p^k): the value
 sum_i c_i p^i encodes the polynomial sum_i c_i z^i taken modulo a fixed monic
-irreducible.  The field is built from one arithmetic, k x k matrices over
-GF(p), starting from the matrix Z of multiplication by z.  Multiplication
-goes through discrete log/antilog tables built from a primitive element,
-addition through a Zech-logarithm table (1 + g^i = g^zech[i]), so every
-table has O(p^k) entries and bulk encoding vectorizes with numpy fancy
-indexing.  Table construction is guarded to small fields; that is all the
-desk-scale constructions need.
+irreducible.  Everything runs on one arithmetic, k x k matrices over GF(p),
+starting from the matrix Z of multiplication by z: Rabin's irreducibility
+test, and multiplication by an element a, which is the matrix
+sum_i a_i Z^i acting on digit row vectors.  No table grows with p^k, so a
+Reed-Solomon code over any field is one GF(p) generator matrix, and its
+encode one product mod p.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-
-#: largest extension field for which lookup tables are built
-MAX_TABLE_FIELD = 1 << 14
 
 # deterministic Miller-Rabin bases valid below 3.317e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -92,8 +88,8 @@ def smallest_primitive_root(p: int) -> int:
 
 
 def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    """m^e mod p by repeated squaring, for a k x k matrix over GF(p) or a
-    stack of them (int64 entries in [0, p), exact while k p^2 < 2^63)."""
+    """m^e mod p by repeated squaring, for a k x k matrix over GF(p) (int64
+    entries in [0, p), exact while k p^2 < 2^63)."""
     out = np.eye(m.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
@@ -161,16 +157,14 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 @dataclass
 class ExtField:
-    """GF(p^k) with integer-encoded elements and vectorized table arithmetic,
-    modulo the irreducible :func:`find_irreducible` gives.
+    """GF(p^k) with integer-encoded elements, modulo the irreducible
+    :func:`find_irreducible` gives, and no tables.
 
-    The build is GF(p) matrix arithmetic in the companion matrix Z of that
-    modulus.  The generator g is the smallest element whose matrix
-    sum_i g_i Z^i has order Q - 1.  Its power table is built by doubling:
-    the digit rows of g^0 .. g^(c-1) times the matrix of multiplication by
-    g^c give g^c .. g^(2c-1), and squaring that matrix gives the next step,
-    so Q = p^k takes about log2 Q numpy products.  The log and Zech tables
-    follow from it by gathers.
+    Addition is digit-wise mod p.  Multiplication by an element a is
+    GF(p)-linear on digit row vectors, with the k x k matrix :meth:`matrix`
+    sum_i a_i Z^i, Z the companion matrix of the modulus: the digits of b
+    times it, mod p, are the digits of a b.  A build is the irreducible
+    search and the k powers Z^0 .. Z^(k-1).
     """
 
     p: int
@@ -182,10 +176,18 @@ class ExtField:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         self.Q = self.p**self.k
-        if self.Q > MAX_TABLE_FIELD:
-            raise ValueError(f"field size {self.Q} exceeds table guard {MAX_TABLE_FIELD}")
         self.irreducible = find_irreducible(self.p, self.k)
-        self._build_tables()
+        z = _companion(self.irreducible, self.p)
+        self._z_powers = np.stack([_mat_pow(z, i, self.p) for i in range(self.k)])
+
+    def check_int64(self) -> None:
+        """Raise ValueError unless every integer encoding fits int64 (Q < 2^63),
+        as numpy draws, encodes and decodes them."""
+        if self.Q >= 1 << 63:
+            raise ValueError(
+                f"GF({self.p}^{self.k}) has {self.Q} >= 2^63 elements, whose "
+                "integer encodings overflow int64"
+            )
 
     # -- integer <-> digit vectors ------------------------------------------
     def to_digits(self, values) -> np.ndarray:
@@ -206,71 +208,15 @@ class ExtField:
             v += d[..., i]
         return v
 
-    def _build_tables(self):
-        q, p, k = self.Q, self.p, self.k
-        z = _companion(self.irreducible, p)
-        z_powers = np.stack([_mat_pow(z, i, p) for i in range(k)])
-        # primitive element: smallest integer encoding with multiplicative
-        # order q - 1 (the element 1 only for GF(2)), tested 16 candidates at
-        # a time.  The GF(p)-linear map "multiply by g" on digit row vectors
-        # is sum_i g_i Z^i: its row j holds the digits of z^j * g.
-        for first in range(1, q, 16):
-            candidates = np.arange(first, min(first + 16, q))
-            m = np.tensordot(self.to_digits(candidates), z_powers, 1) % p
-            full = np.ones(len(candidates), dtype=bool)
-            for f in factorize(q - 1):
-                full &= (_mat_pow(m, (q - 1) // f, p) != z_powers[0]).any(axis=(1, 2))
-            if full.any():
-                break
-        self.generator = int(candidates[full.argmax()])
-        step = m[full.argmax()]
-        # powers by doubling: while the rows hold the digits of g^0 .. g^(c-1)
-        # and step multiplies by g^c, the rows times step are g^c .. g^(2c-1)
-        # (entries below k p^2 <= p MAX_TABLE_FIELD, exact in int64)
-        powers = np.eye(1, k, dtype=np.int64)
-        while len(powers) < q - 1:
-            powers = np.concatenate([powers, powers @ step % p])
-            step = step @ step % p
-        exp = self.from_digits(powers[: q - 1])
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        # Zech logarithms: 1 + g^i = g^zech[i], -1 where 1 + g^i = 0; adding
-        # one bumps the constant digit mod p.  Both tables are stored twice so
-        # that any sum or difference of two logs in [-1, q-2] indexes them
-        # without a reduction mod q - 1 (negative indices wrap).
-        zech = log[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
-        self._zech = np.concatenate([zech, zech])
-        self._exp = np.concatenate([exp, exp])
-        self._log = log
-
-    # -- vectorized field ops -------------------------------------------------
-    def add(self, a, b) -> np.ndarray:
-        """a + b = a (1 + b/a) = g^(log a + zech[log b - log a]) for nonzero a, b."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        la = self._log[a]
-        z = self._zech[self._log[b] - la]
-        out = np.where(z < 0, 0, self._exp[la + z])
-        return np.where(a == 0, b, np.where(b == 0, a, out))
-
-    def neg(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        return self.from_digits((-self.to_digits(a)) % self.p)
-
-    def sub(self, a, b) -> np.ndarray:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self._exp[(self._log[a] + self._log[b]) % (self.Q - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
-
-    def inv(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[(self.Q - 1 - self._log[a]) % (self.Q - 1)]
+    def matrix(self, a: int) -> np.ndarray:
+        """The k x k matrix over GF(p) of multiplication by the element a,
+        sum_i a_i Z^i mod p: row j holds the digits of z^j a.  The digits of a
+        are taken in Python ints, so any element of any field will do."""
+        a = int(a)
+        if not 0 <= a < self.Q:
+            raise ValueError(f"element {a} outside [0, {self.Q})")
+        digits = np.array([a // self.p**i % self.p for i in range(self.k)], dtype=np.int64)
+        return np.tensordot(digits, self._z_powers, 1) % self.p
 
 
 @dataclass
@@ -279,8 +225,9 @@ class RSCode:
 
     Messages are ``k_out`` field symbols, interpreted as polynomial
     coefficients (ascending) and evaluated at the first ``n_out`` integer
-    encodings 0, 1, ..., n_out-1.  The code is MDS: minimum Hamming distance
-    exactly n_out - k_out + 1.
+    encodings x_j = j, j = 0, 1, ..., n_out-1.  The code is MDS: minimum
+    Hamming distance exactly n_out - k_out + 1.  It is GF(p)-linear on the
+    digits of its symbols, with the generator :meth:`generator`.
     """
 
     fld: ExtField
@@ -294,22 +241,42 @@ class RSCode:
             raise ValueError(
                 f"length {self.n_out} exceeds field size {self.fld.Q}"
             )
-        self.points = np.arange(self.n_out, dtype=np.int64)
 
     @property
     def distance(self) -> int:
         return self.n_out - self.k_out + 1
 
+    def generator(self) -> np.ndarray:
+        """GF(p) generator, (k_out k) x (n_out k), entries in [0, p): block
+        (i, j) is M(x_j)^i, M = :meth:`ExtField.matrix`, so the digits of a
+        message (symbol by symbol) times it, mod p, are the digits of its
+        codeword.  Costs n_out matrices and k_out - 1 products of a stack of
+        them, whatever the field size."""
+        p, k = self.fld.p, self.fld.k
+        m = np.stack([self.fld.matrix(x) for x in range(self.n_out)])
+        blocks = [np.broadcast_to(np.eye(k, dtype=np.int64), m.shape)]
+        for _ in range(1, self.k_out):
+            blocks.append(blocks[-1] @ m % p)
+        # (i, j, row, col) -> row (i, row), column (j, col)
+        gen = np.stack(blocks).transpose(0, 2, 1, 3)
+        return gen.reshape(self.k_out * k, self.n_out * k)
+
     def encode(self, messages) -> np.ndarray:
-        """Encode rows of ``messages`` (shape (m, k_out), field-int symbols)."""
+        """Encode rows of ``messages`` (shape (m, k_out), field-int symbols):
+        their digits times :meth:`generator`, mod p, read back as symbols.
+
+        Symbols must lie in [0, Q), Q must stay below 2^63 and the unreduced
+        product, at most k_out k (p-1)^2, within int64; each is a ValueError.
+        """
+        fld = self.fld
+        fld.check_int64()
+        if self.k_out * fld.k * (fld.p - 1) ** 2 >= 1 << 63:
+            raise ValueError("k_out k (p-1)^2 must stay below 2^63 for an exact int64 encode")
         msgs = np.atleast_2d(np.asarray(messages, dtype=np.int64))
         if msgs.shape[1] != self.k_out:
             raise ValueError(f"messages must have {self.k_out} symbols")
-        if msgs.size and not 0 <= msgs.min() <= msgs.max() < self.fld.Q:
-            raise ValueError(f"message symbols must lie in [0, {self.fld.Q})")
+        if msgs.size and not 0 <= msgs.min() <= msgs.max() < fld.Q:
+            raise ValueError(f"message symbols must lie in [0, {fld.Q})")
         m = msgs.shape[0]
-        out = np.zeros((m, self.n_out), dtype=np.int64)
-        pts = np.broadcast_to(self.points, (m, self.n_out))
-        for j in range(self.k_out - 1, -1, -1):  # Horner
-            out = self.fld.add(self.fld.mul(out, pts), msgs[:, j : j + 1])
-        return out
+        digits = fld.to_digits(msgs).reshape(m, self.k_out * fld.k) @ self.generator() % fld.p
+        return fld.from_digits(digits.reshape(m, self.n_out, fld.k))

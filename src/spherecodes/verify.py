@@ -267,7 +267,8 @@ def _primality(seed: int):
 
 @_criterion(
     "lee_floors",
-    "exhaustive min Lee and Euclid weights >= 2t for the BCH test set",
+    "min Lee and Euclid weights >= 2t for the BCH test set, by the cyclic "
+    "information-set search",
     time_limit=60.0,
 )
 def _lee_floors(seed: int):

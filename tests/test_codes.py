@@ -747,17 +747,54 @@ def test_sampled_distance_never_below_exhaustive(params, pairs, seed):
 
 
 @pytest.mark.parametrize("params", [None, (5, 3, 4, 2)])
-def test_symbol_weights_are_inner_codeword_weights(concat_74, params):
+def test_concat_blocks_are_inner_codewords(concat_74, params):
     # GF(7^4) for the README code, GF(5^1) for RS[4,2] . BCH[4,1]
     cc = concat_74 if params is None else _small_concat(*params)
-    fld, table = cc.outer.fld, euclid.constellation(cc.p).euclid_table.tolist()
-    weights = cc.symbol_weights()
-    assert weights.shape == (fld.Q,)
-    for s in range(fld.Q):
-        word = cc.inner.encode(fld.to_digits(s)[None, :])[0]
-        assert weights[s] == sum(table[c] for c in word.tolist())
-    assert weights[0] == 0
-    assert weights[1:].min() >= cc.inner.metric_floor
+    p, inner, outer = cc.p, cc.inner, cc.outer
+    msgs = np.random.default_rng(4).integers(0, p, size=(100, cc.k_total))
+    words = np.concatenate([cc.generator_matrix(), cc.encode_p_message(msgs)])
+    assert words.min() >= 0 and words.max() < p
+    # every block of n_in digits vanishes at the inner code's roots
+    for block in words.reshape(-1, inner.n).tolist():
+        for e in range(inner.t):
+            root = pow(inner.alpha, e, p)
+            assert sum(c * pow(root, i, p) for i, c in enumerate(block)) % p == 0
+    # and it is the inner codeword of the digits of its outer symbol
+    symbols = outer.encode(outer.fld.from_digits(msgs.reshape(100, outer.k_out, inner.k)))
+    blocks = inner.encode(outer.fld.to_digits(symbols).reshape(-1, inner.k))
+    assert np.array_equal(words[cc.k_total :].reshape(-1, inner.n), blocks)
+
+
+def test_concat_generator_built_once_and_read_only(concat_74):
+    gen = concat_74.generator_matrix()
+    assert gen is concat_74.generator_matrix()
+    with pytest.raises(ValueError, match="read-only"):
+        gen[0, 0] = 1
+
+
+def test_sampled_distance_computes_digits_above_the_budget(concat_74, monkeypatch):
+    # no digit table fits a budget of 0: each block's digits come from its draws
+    want = [concat_74.sampled_min_distance(5000, seed=s) for s in range(3)]
+    monkeypatch.setattr(kernels, "SWEEP_BUDGET", 0)
+    assert [concat_74.sampled_min_distance(5000, seed=s) for s in range(3)] == want
+    assert want == [_two_encode_min(concat_74, 5000, s) for s in range(3)]
+
+
+def test_fields_past_int64_build_the_generator_and_refuse_encodes():
+    # RS[64,16] over GF(31^27) . BCH(31, 3): 31^27 > 2^63
+    inner = codes.lee_bch(31, 3)
+    cc = codes.concatenate(gf.RSCode(gf.ExtField(31, inner.k), 64, 16), inner)
+    assert cc.generator_matrix().shape == (432, 1920)
+    assert cc.metric_floor == 49 * 6
+    for call in (
+        lambda: cc.encode(np.zeros((1, 16), dtype=np.int64)),
+        lambda: cc.sample_words(10),
+        lambda: cc.sampled_min_distance(10),
+    ):
+        with pytest.raises(ValueError, match=r"2\^63"):
+            call()
+    # GF(p) digit messages need no integer encoding
+    assert cc.encode_p_message(np.eye(1, 432, dtype=np.int64)).shape == (1, 1920)
 
 
 # the two small codes above plus RS[4,2] over GF(7^2) . BCH[6,2] (2401 words)

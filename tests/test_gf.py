@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -105,70 +108,41 @@ def test_degree_one_modulus_is_irreducible(p):
     assert all(gf.is_irreducible([c, 1], p) for c in range(p))
 
 
+def _product(F, a, b):
+    """a b in GF(p^k), through the matrix of a acting on the digits of b."""
+    return int(F.from_digits(F.to_digits(b) @ F.matrix(a) % F.p))
+
+
 def test_prime_field_is_arithmetic_mod_p():
     F = gf.ExtField(5, 1)
-    a, b = np.meshgrid(np.arange(5), np.arange(5))
-    assert np.array_equal(F.add(a, b), (a + b) % 5)
-    assert np.array_equal(F.mul(a, b), (a * b) % 5)
+    for a in range(5):
+        assert F.matrix(a).tolist() == [[a]]
+        assert [_product(F, a, b) for b in range(5)] == [a * b % 5 for b in range(5)]
 
 
 def test_gf2_builds():
-    # the generator of GF(2)^* is 1, the one field whose primitive element is 1
     F = gf.ExtField(2, 1)
-    assert F.generator == 1
-    a, b = np.meshgrid(np.arange(2), np.arange(2))
-    assert np.array_equal(F.add(a, b), (a + b) % 2)
-    assert np.array_equal(F.mul(a, b), a * b)
-    assert F.inv(1) == 1
+    assert (F.Q, F.irreducible) == (2, (0, 1))
+    assert [F.matrix(a).tolist() for a in (0, 1)] == [[[0]], [[1]]]
 
 
 @pytest.mark.parametrize("p,k", [(7, 2), (7, 4), (5, 3), (11, 2), (3, 5)])
 def test_field_axioms(p, k):
     F = gf.ExtField(p, k)
     rng = np.random.default_rng(0)
-    a, b, c = rng.integers(0, F.Q, size=(3, 500))
-    assert np.array_equal(F.add(a, b), F.add(b, a))
-    assert np.array_equal(F.mul(a, b), F.mul(b, a))
-    assert np.array_equal(F.mul(a, F.mul(b, c)), F.mul(F.mul(a, b), c))
-    assert np.array_equal(F.mul(a, F.add(b, c)), F.add(F.mul(a, b), F.mul(a, c)))
-    nz = a[a != 0]
-    assert np.all(F.mul(nz, F.inv(nz)) == 1)
-    assert np.all(F.add(a, F.neg(a)) == 0)
-    assert np.all(F.sub(a, a) == 0)
-    # generator has full multiplicative order
-    seen = set()
-    x = 1
-    for _ in range(F.Q - 1):
-        seen.add(x)
-        x = int(F.mul(x, F.generator))
-    assert len(seen) == F.Q - 1
-
-
-def _digit_sum(F, a, b):
-    """Oracle: field addition as digit-wise addition mod p."""
-    return F.from_digits((F.to_digits(a) + F.to_digits(b)) % F.p)
-
-
-@pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (3, 5), (2, 8)])
-def test_add_matches_digit_sum_on_all_pairs(p, k):
-    F = gf.ExtField(p, k)
-    a, b = np.meshgrid(np.arange(F.Q), np.arange(F.Q), indexing="ij")
-    got = F.add(a, b)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _digit_sum(F, a, b))
-
-
-@pytest.mark.parametrize("p,k", [(7, 4), (5, 6)])
-def test_add_matches_digit_sum_on_random_pairs(p, k):
-    F = gf.ExtField(p, k)
-    rng = np.random.default_rng(7)
-    a, b = rng.integers(0, F.Q, size=(2, 100_000))
-    a[:100] = 0  # the zero cases of the Zech-log path
-    b[50:150] = 0
-    assert np.array_equal(F.add(a, b), _digit_sum(F, a, b))
-    # broadcasting, as RS encoding uses it
-    rows, col = a[:512].reshape(64, 8), b[:64, None]
-    assert np.array_equal(F.add(rows, col), _digit_sum(F, rows, col))
+    a, b = rng.integers(0, F.Q, size=(2, 200))
+    a[:3] = [0, 1, 0]
+    for x, y in zip(a.tolist(), b.tolist()):
+        mx, my = F.matrix(x), F.matrix(y)
+        # products commute and are the matrix of the product element
+        assert np.array_equal(mx @ my % p, my @ mx % p)
+        assert np.array_equal(mx @ my % p, F.matrix(_product(F, x, y)))
+        # the map is additive digit by digit
+        digit_sum = int(F.from_digits((F.to_digits(x) + F.to_digits(y)) % p))
+        assert np.array_equal((mx + my) % p, F.matrix(digit_sum))
+        # every nonzero element is invertible
+        assert gf._is_unit(mx, p) == (x != 0)
+    assert np.array_equal(F.matrix(1), np.eye(k, dtype=np.int64))
 
 
 def _mul_mod(a, b, mod, p):
@@ -187,62 +161,34 @@ def _mul_mod(a, b, mod, p):
     return [c % p for c in prod[:k]]
 
 
-def test_exp_table_is_the_generator_cycle():
-    F = gf.ExtField(7, 4)
-    mod = list(F.irreducible)
-    g = [int(d) for d in F.to_digits(F.generator)]
-    exp = F._exp
-    for i in range(F.Q - 1):
-        want = _mul_mod([int(d) for d in F.to_digits(exp[i])], g, mod, F.p)
-        assert exp[i + 1] == F.from_digits(np.array(want)), i
-    assert exp[0] == 1 and sorted(exp[: F.Q - 1]) == list(range(1, F.Q))
-    assert np.array_equal(exp[F.Q - 1 :], exp[: F.Q - 1])
-    assert F._log[0] == -1
-    assert np.array_equal(F._log[exp[: F.Q - 1]], np.arange(F.Q - 1))
-
-
-def _stepped_tables(F):
-    """Oracle: exp, log and Zech tables with g^(i+1) = g^i * g, one power at a
-    time by schoolbook products mod the irreducible."""
-    p, k, mod, q = F.p, F.k, list(F.irreducible), F.Q
-    g = [int(d) for d in F.to_digits(F.generator)]
-    exp, acc = [], [1] + [0] * (k - 1)
-    for _ in range(q - 1):
-        exp.append(sum(c * p**i for i, c in enumerate(acc)))
-        acc = _mul_mod(acc, g, mod, p)
-    log = [-1] * q
-    for i, v in enumerate(exp):
-        log[v] = i
-    # 1 + g^i adds one to the constant digit
-    zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
-    return exp + exp, log, zech + zech
+def _py_digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
 
 
 @pytest.mark.parametrize(
     "p,k", [(2, 1), (3, 2), (2, 5), (5, 2), (5, 3), (7, 4), (11, 4), (13, 3)]
 )
-def test_tables_match_one_power_at_a_time(p, k):
+def test_matrix_matches_schoolbook_product(p, k):
     F = gf.ExtField(p, k)
-    exp, log, zech = _stepped_tables(F)
-    for got, want in ((F._exp, exp), (F._log, log), (F._zech, zech)):
-        assert got.dtype == np.int64
-        assert got.tobytes() == np.array(want, dtype=np.int64).tobytes()
-
-
-def test_generators_pinned():
-    # smallest integer encodings of full order, as every earlier build chose
-    pinned = {(7, 2): 9, (7, 4): 12, (5, 2): 6, (5, 3): 9, (11, 2): 15, (3, 5): 3,
-              (2, 8): 3, (5, 6): 5}
-    assert {pk: gf.ExtField(*pk).generator for pk in pinned} == pinned
+    mod = list(F.irreducible)
+    pairs = np.random.default_rng(1).integers(0, F.Q, size=(300, 2)).tolist()
+    for a, b in pairs if F.Q > 17 else np.ndindex(F.Q, F.Q):
+        want = _mul_mod(_py_digits(a, p, k), _py_digits(b, p, k), mod, p)
+        assert (F.to_digits(b) @ F.matrix(a) % p).tolist() == want
 
 
 def test_field_guards():
     with pytest.raises(ValueError):
         gf.ExtField(6, 2)
-    with pytest.raises(ValueError):
-        gf.ExtField(127, 3)  # table guard
-    with pytest.raises(ZeroDivisionError):
-        gf.ExtField(5, 2).inv(0)
+    # no table guard: GF(127^3) builds, and its elements act as matrices
+    F = gf.ExtField(127, 3)
+    assert F.Q == 127**3 and gf._is_unit(F.matrix(F.Q - 1), 127)
+    for bad in (-1, F.Q):
+        with pytest.raises(ValueError, match="outside"):
+            F.matrix(bad)
+    # int64 matrix products would overflow: refused rather than wrong
+    with pytest.raises(ValueError, match="overflow int64"):
+        gf._companion([1, 0, 1], 2**32 + 15)
 
 
 def test_digit_roundtrip():
@@ -277,13 +223,8 @@ def test_rs_subcode_exhaustive():
     rs = gf.RSCode(F, 8, 4)
     basis = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 7, 0]])
     coefs = np.array(np.meshgrid(range(7), range(7), range(7))).T.reshape(-1, 3)
-    msgs = np.zeros((343, 4), dtype=np.int64)
-    for i, (a, b, c) in enumerate(coefs):
-        acc = np.zeros(4, dtype=np.int64)
-        for coef, vec in zip((a, b, c), basis):
-            scaled = F.mul(np.full(4, coef), vec)
-            acc = F.add(acc, scaled)
-        msgs[i] = acc
+    # scalars of GF(7) scale every digit
+    msgs = F.from_digits(np.tensordot(coefs, F.to_digits(basis), 1) % 7)
     words = rs.encode(msgs)
     m = words.shape[0]
     dmin = min(
@@ -317,3 +258,74 @@ def test_rs_encode_rejects_symbols_outside_the_field():
     assert got.tolist() == [[0, 3, 6, 2, 5], [48, 44, 47, 43, 46],
                             [48, 40, 32, 24, 16], [0, 0, 0, 0, 0]]
     assert rs.encode(np.zeros((0, 2), dtype=np.int64)).shape == (0, 5)
+
+
+def _horner(F, message, n_out):
+    """Oracle: the RS codeword of ``message`` as digit lists, one per point
+    x = 0 .. n_out-1, by Horner's rule in schoolbook products mod the
+    irreducible, in Python ints throughout."""
+    p, k, mod = F.p, F.k, list(F.irreducible)
+    word = []
+    for x in range(n_out):
+        acc = [0] * k
+        for coef in reversed(message):
+            acc = _mul_mod(acc, _py_digits(x, p, k), mod, p)
+            acc = [(u + v) % p for u, v in zip(acc, _py_digits(coef, p, k))]
+        word.append(acc)
+    return word
+
+
+@pytest.mark.parametrize(
+    "p,k,n_out,k_out", [(7, 4, 8, 4), (7, 4, 24, 3), (3, 5, 40, 7), (5, 1, 4, 2)]
+)
+def test_rs_generator_matches_horner_oracle(p, k, n_out, k_out):
+    F = gf.ExtField(p, k)
+    rs = gf.RSCode(F, n_out, k_out)
+    # row i k + l: the message whose one nonzero digit is digit l of symbol i
+    want = [
+        sum(_horner(F, [p**l if s == i else 0 for s in range(k_out)], n_out), [])
+        for i in range(k_out)
+        for l in range(k)
+    ]
+    assert rs.generator().tolist() == want
+    msgs = np.random.default_rng(2).integers(0, F.Q, size=(50, k_out)).tolist()
+    want = [[sum(d * p**i for i, d in enumerate(s)) for s in _horner(F, m, n_out)] for m in msgs]
+    assert rs.encode(msgs).tolist() == want
+
+
+@pytest.mark.parametrize("p,k,n_out,k_out", [(13, 10, 16, 8), (31, 27, 36, 3)])
+def test_rs_generator_matches_horner_oracle_on_digits(p, k, n_out, k_out):
+    # GF(31^27) has more than 2^63 elements: only digits meet numpy.  Both
+    # codes reach points past the prime field, whose matrices are not scalar
+    F = gf.ExtField(p, k)
+    gen = gf.RSCode(F, n_out, k_out).generator()
+    rng = random.Random(3)
+    for _ in range(10):
+        msg = [rng.randrange(F.Q) for _ in range(k_out)]
+        digits = np.array([d for s in msg for d in _py_digits(s, p, k)])
+        assert (digits @ gen % p).tolist() == sum(_horner(F, msg, n_out), [])
+
+
+@pytest.mark.parametrize("p,k,n_out,k_out", [(3, 2, 7, 3), (5, 1, 5, 2), (2, 3, 8, 2)])
+def test_rs_is_mds_by_enumeration(p, k, n_out, k_out):
+    F = gf.ExtField(p, k)
+    rs = gf.RSCode(F, n_out, k_out)
+    words = rs.encode(list(itertools.product(range(F.Q), repeat=k_out)))
+    assert len(set(map(tuple, words.tolist()))) == F.Q**k_out
+    # a linear code: the least nonzero weight is the minimum distance
+    weights = (words != 0).sum(axis=1)
+    assert weights[0] == 0 and weights[1:].min() == rs.distance == n_out - k_out + 1
+
+
+def test_rs_encode_refuses_what_int64_cannot_hold():
+    # GF(31^27): the generator builds, integer-encoded symbols cannot
+    rs = gf.RSCode(gf.ExtField(31, 27), 64, 16)
+    assert rs.generator().shape == (16 * 27, 64 * 27)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        rs.encode(np.zeros((1, 16), dtype=np.int64))
+    # GF(2^31 - 1): three products of (p-1)^2 overflow int64, two do not
+    F = gf.ExtField(2**31 - 1, 1)
+    # -1 - x at x = 0, 1, 2
+    assert gf.RSCode(F, 3, 2).encode([[F.Q - 1, F.Q - 1]]).tolist() == [[F.Q - 1, F.Q - 2, F.Q - 3]]
+    with pytest.raises(ValueError, match=r"2\^63"):
+        gf.RSCode(F, 3, 3).encode([[1, 1, 1]])
